@@ -55,8 +55,9 @@ check_docs() {
   # Every repo path a doc mentions must exist: docs that point at files
   # which were renamed away are worse than no docs. Extract tokens that
   # look like repo paths (src/..., tests/..., bench/..., examples/...,
-  # scripts/..., docs/...), expand foo.{h,cc} shorthand, skip anything
-  # under build*/ and glob patterns, and fail on the first dangling path.
+  # scripts/..., docs/..., perfbench/...), expand foo.{h,cc} shorthand,
+  # skip anything under build*/ and glob patterns, and fail on the first
+  # dangling path.
   echo "=== docs check: repo paths referenced by docs must exist ==="
   local docs=(README.md DESIGN.md ROADMAP.md EXPERIMENTS.md)
   local extra
@@ -82,7 +83,7 @@ check_docs() {
         echo "DANGLING: $doc references $path" >&2
         status=1
       fi
-    done < <(grep -oE '(^|[^A-Za-z0-9_/.-])(src|tests|bench|examples|scripts|docs)/[A-Za-z0-9_./{,}*-]+' "$doc" \
+    done < <(grep -oE '(^|[^A-Za-z0-9_/.-])(src|tests|bench|examples|scripts|docs|perfbench)/[A-Za-z0-9_./{,}*-]+' "$doc" \
              | sed 's/^[^a-z]//; s/[.,;:)]*$//' | sort -u)
   done
   if [[ "$status" != 0 ]]; then
@@ -129,7 +130,11 @@ if [[ "$run_plain" == 1 ]]; then
   echo "=== plain build (tier-1) ==="
   cmake -B build -S . >/dev/null
   cmake --build build -j "$jobs"
-  (cd build && ctest --output-on-failure -j "$jobs")
+  # Random order, three passes: tests run as concurrent processes, so a
+  # shared scratch path or a future stranded by a racy schedule is far
+  # more likely to fail here than to slip through on one lucky ordering.
+  (cd build && ctest --output-on-failure -j "$jobs" --schedule-random \
+      --repeat until-fail:3)
 fi
 
 if [[ "$run_sanitized" == 1 ]]; then

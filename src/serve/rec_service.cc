@@ -17,13 +17,14 @@ void DefaultSleepMs(double millis) {
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(millis));
 }
 
-ThreadPoolOptions ServicePoolOptions(const RecServiceOptions& options) {
+ThreadPoolOptions ServicePoolOptions(const RecServiceOptions& options,
+                                     MetricsRegistry* metrics) {
   IMCAT_CHECK(options.num_workers >= 1);
   IMCAT_CHECK(options.queue_capacity >= 1);
   ThreadPoolOptions popts;
   popts.num_threads = options.num_workers;
   popts.queue_capacity = options.queue_capacity;
-  popts.metrics = options.metrics;
+  popts.metrics = metrics;
   popts.metrics_prefix = "serve_pool";
   return popts;
 }
@@ -33,6 +34,11 @@ ThreadPoolOptions ServicePoolOptions(const RecServiceOptions& options) {
 RecService::RecService(std::shared_ptr<const PopularityRanker> fallback,
                        const RecServiceOptions& options)
     : options_(options),
+      own_metrics_(options.metrics == nullptr
+                       ? std::make_unique<MetricsRegistry>()
+                       : nullptr),
+      metrics_(options.metrics != nullptr ? options.metrics
+                                          : own_metrics_.get()),
       fallback_(std::move(fallback)),
       recommender_([&] {
         RecommenderOptions ropts = options.recommender;
@@ -42,8 +48,54 @@ RecService::RecService(std::shared_ptr<const PopularityRanker> fallback,
       breaker_(options.breaker, options.now_ms),
       now_ms_(options.now_ms ? options.now_ms : SteadyNowMs),
       sleep_ms_(options.sleep_ms ? options.sleep_ms : DefaultSleepMs),
+      requests_total_(metrics_->GetCounter("serve_requests_total")),
+      requests_accepted_(metrics_->GetCounter("serve_requests_accepted_total")),
+      requests_ok_(metrics_->GetCounter("serve_requests_ok_total")),
+      requests_degraded_(metrics_->GetCounter("serve_requests_degraded_total")),
+      requests_partial_degraded_(
+          metrics_->GetCounter("serve_requests_partial_degraded_total")),
+      requests_shed_(metrics_->GetCounter("serve_requests_shed_total")),
+      requests_shed_queue_delay_(
+          metrics_->GetCounter("serve_requests_shed_queue_delay_total")),
+      requests_shed_predicted_late_(
+          metrics_->GetCounter("serve_requests_shed_predicted_late_total")),
+      requests_deadline_(
+          metrics_->GetCounter("serve_requests_deadline_exceeded_total")),
+      requests_invalid_(metrics_->GetCounter("serve_requests_invalid_total")),
+      requests_error_(metrics_->GetCounter("serve_requests_error_total")),
+      requests_cancelled_(
+          metrics_->GetCounter("serve_requests_cancelled_total")),
+      snapshot_reloads_total_(
+          metrics_->GetCounter("serve_snapshot_reloads_total")),
+      snapshot_load_failures_total_(
+          metrics_->GetCounter("serve_snapshot_load_failures_total")),
+      snapshot_rejected_publishes_total_(
+          metrics_->GetCounter("serve_snapshot_rejected_publishes_total")),
+      snapshot_shards_quarantined_total_(
+          metrics_->GetCounter("serve_snapshot_shards_quarantined_total")),
+      staleness_trips_total_(
+          metrics_->GetCounter("serve_staleness_trips_total")),
+      breaker_transitions_total_(
+          metrics_->GetCounter("serve_breaker_transitions_total")),
+      delta_publishes_total_(
+          metrics_->GetCounter("serve_delta_publishes_total")),
+      delta_rejected_total_(metrics_->GetCounter("serve_delta_rejected_total")),
+      brownout_transitions_total_(
+          metrics_->GetCounter("serve_brownout_transitions_total")),
+      brownout_level_gauge_(metrics_->GetGauge("serve_brownout_level")),
+      breaker_state_gauge_(metrics_->GetGauge("serve_breaker_state")),
+      quarantined_shards_gauge_(
+          metrics_->GetGauge("serve_snapshot_quarantined_shards")),
+      staleness_ms_gauge_(metrics_->GetGauge("serve_snapshot_staleness_ms")),
+      stale_shards_gauge_(metrics_->GetGauge("serve_snapshot_stale_shards")),
+      delta_lag_ms_gauge_(metrics_->GetGauge("serve_snapshot_delta_lag_ms")),
+      request_latency_ms_(metrics_->GetHistogram("serve_request_latency_ms")),
+      queue_wait_ms_(metrics_->GetHistogram("serve_queue_wait_ms")),
+      batch_size_(metrics_->GetHistogram("serve_batch_size")),
+      batched_requests_total_(
+          metrics_->GetCounter("serve_batched_requests_total")),
       journal_(options.journal),
-      pool_(ServicePoolOptions(options)) {
+      pool_(ServicePoolOptions(options, metrics_)) {
   IMCAT_CHECK(fallback_ != nullptr);
   IMCAT_CHECK(options_.default_top_k >= 1);
   IMCAT_CHECK(options_.max_batch_size >= 1);
@@ -52,85 +104,25 @@ RecService::RecService(std::shared_ptr<const PopularityRanker> fallback,
     if (!oopts.now_ms) oopts.now_ms = now_ms_;
     overload_ = std::make_unique<OverloadController>(oopts);
   }
-  if (options.metrics != nullptr) {
-    MetricsRegistry* m = options.metrics;
-    requests_total_ = m->GetCounter("serve_requests_total");
-    requests_ok_ = m->GetCounter("serve_requests_ok_total");
-    requests_degraded_ = m->GetCounter("serve_requests_degraded_total");
-    requests_partial_degraded_ =
-        m->GetCounter("serve_requests_partial_degraded_total");
-    requests_shed_ = m->GetCounter("serve_requests_shed_total");
-    requests_shed_queue_delay_ =
-        m->GetCounter("serve_requests_shed_queue_delay_total");
-    requests_shed_predicted_late_ =
-        m->GetCounter("serve_requests_shed_predicted_late_total");
-    requests_deadline_ =
-        m->GetCounter("serve_requests_deadline_exceeded_total");
-    requests_invalid_ = m->GetCounter("serve_requests_invalid_total");
-    requests_error_ = m->GetCounter("serve_requests_error_total");
-    requests_cancelled_ = m->GetCounter("serve_requests_cancelled_total");
-    snapshot_reloads_total_ = m->GetCounter("serve_snapshot_reloads_total");
-    snapshot_load_failures_total_ =
-        m->GetCounter("serve_snapshot_load_failures_total");
-    snapshot_rejected_publishes_total_ =
-        m->GetCounter("serve_snapshot_rejected_publishes_total");
-    snapshot_shards_quarantined_total_ =
-        m->GetCounter("serve_snapshot_shards_quarantined_total");
-    staleness_trips_total_ = m->GetCounter("serve_staleness_trips_total");
-    breaker_transitions_total_ =
-        m->GetCounter("serve_breaker_transitions_total");
-    delta_publishes_total_ = m->GetCounter("serve_delta_publishes_total");
-    delta_rejected_total_ = m->GetCounter("serve_delta_rejected_total");
-    brownout_transitions_total_ =
-        m->GetCounter("serve_brownout_transitions_total");
-    brownout_level_gauge_ = m->GetGauge("serve_brownout_level");
-    breaker_state_gauge_ = m->GetGauge("serve_breaker_state");
-    quarantined_shards_gauge_ =
-        m->GetGauge("serve_snapshot_quarantined_shards");
-    staleness_ms_gauge_ = m->GetGauge("serve_snapshot_staleness_ms");
-    stale_shards_gauge_ = m->GetGauge("serve_snapshot_stale_shards");
-    delta_lag_ms_gauge_ = m->GetGauge("serve_snapshot_delta_lag_ms");
-    request_latency_ms_ = m->GetHistogram("serve_request_latency_ms");
-    queue_wait_ms_ = m->GetHistogram("serve_queue_wait_ms");
-    if (options_.max_batch_size > 1) {
-      batch_size_ = m->GetHistogram("serve_batch_size");
-      batched_requests_total_ =
-          m->GetCounter("serve_batched_requests_total");
-    }
-  }
-  if (options.metrics != nullptr || journal_ != nullptr) {
-    // Observe breaker transitions for the gauge / counter / journal. The
-    // listener runs outside the breaker lock, on the transitioning thread.
-    breaker_.set_on_transition(
-        [this](CircuitBreaker::State from, CircuitBreaker::State to) {
-          if (breaker_transitions_total_ != nullptr) {
-            breaker_transitions_total_->Increment();
-          }
-          if (breaker_state_gauge_ != nullptr) {
-            breaker_state_gauge_->Set(static_cast<double>(to));
-          }
-          if (journal_ != nullptr) {
-            journal_->Append(JournalEvent("breaker")
-                                 .Set("from", CircuitBreaker::StateName(from))
-                                 .Set("to", CircuitBreaker::StateName(to)));
-          }
-        });
-  }
+  // Observe breaker transitions for the gauge / counter / journal. The
+  // listener runs outside the breaker lock, on the transitioning thread.
+  breaker_.set_on_transition(
+      [this](CircuitBreaker::State from, CircuitBreaker::State to) {
+        breaker_transitions_total_->Increment();
+        breaker_state_gauge_->Set(static_cast<double>(to));
+        if (journal_ != nullptr) {
+          journal_->Append(JournalEvent("breaker")
+                               .Set("from", CircuitBreaker::StateName(from))
+                               .Set("to", CircuitBreaker::StateName(to)));
+        }
+      });
   if (overload_ != nullptr) {
     // Brownout ladder transitions are observable exactly like breaker
-    // transitions: one stats bump + counter + gauge + journal event per
-    // edge, fired outside the controller lock on the transitioning thread.
+    // transitions: one counter bump + gauge + journal event per edge,
+    // fired outside the controller lock on the transitioning thread.
     overload_->set_on_brownout([this](int64_t from, int64_t to) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.brownout_transitions;
-      }
-      if (brownout_transitions_total_ != nullptr) {
-        brownout_transitions_total_->Increment();
-      }
-      if (brownout_level_gauge_ != nullptr) {
-        brownout_level_gauge_->Set(static_cast<double>(to));
-      }
+      brownout_transitions_total_->Increment();
+      brownout_level_gauge_->Set(static_cast<double>(to));
       if (journal_ != nullptr) {
         journal_->Append(
             JournalEvent("brownout").Set("from", from).Set("to", to));
@@ -163,13 +155,7 @@ Status RecService::LoadSnapshot(const std::string& path) {
         // service backwards (a stale export re-pushed, a duplicate
         // publish). The file itself is intact, so the breaker is not fed
         // and no retry can help.
-        {
-          std::lock_guard<std::mutex> lock(stats_mu_);
-          ++stats_.rejected_publishes;
-        }
-        if (snapshot_rejected_publishes_total_ != nullptr) {
-          snapshot_rejected_publishes_total_->Increment();
-        }
+        snapshot_rejected_publishes_total_->Increment();
         if (journal_ != nullptr) {
           journal_->Append(JournalEvent("snapshot_rejected")
                                .Set("path", path)
@@ -196,21 +182,10 @@ Status RecService::LoadSnapshot(const std::string& path) {
       // until their request completes.
       PublishSnapshot(std::move(loaded));
       breaker_.RecordSuccess();
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.snapshot_reloads;
-      }
-      if (snapshot_reloads_total_ != nullptr) {
-        snapshot_reloads_total_->Increment();
-      }
-      if (snapshot_shards_quarantined_total_ != nullptr &&
-          quarantined > 0) {
-        snapshot_shards_quarantined_total_->Add(quarantined);
-      }
-      if (quarantined_shards_gauge_ != nullptr) {
-        quarantined_shards_gauge_->Set(static_cast<double>(quarantined));
-      }
-      if (stale_shards_gauge_ != nullptr) stale_shards_gauge_->Set(0.0);
+      snapshot_reloads_total_->Increment();
+      snapshot_shards_quarantined_total_->Add(quarantined);
+      quarantined_shards_gauge_->Set(static_cast<double>(quarantined));
+      stale_shards_gauge_->Set(0.0);
       if (journal_ != nullptr) {
         journal_->Append(JournalEvent("snapshot_reload")
                              .Set("ok", true)
@@ -228,13 +203,7 @@ Status RecService::LoadSnapshot(const std::string& path) {
     sleep_ms_(delay_ms);
   }
   breaker_.RecordFailure();
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.snapshot_load_failures;
-  }
-  if (snapshot_load_failures_total_ != nullptr) {
-    snapshot_load_failures_total_->Increment();
-  }
+  snapshot_load_failures_total_->Increment();
   if (journal_ != nullptr) {
     journal_->Append(JournalEvent("snapshot_reload")
                          .Set("ok", false)
@@ -251,11 +220,7 @@ void RecService::RecordDeltaRejected(const std::string& path,
                                      int64_t live_version,
                                      int64_t base_version,
                                      const std::string& reason) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.rejected_deltas;
-  }
-  if (delta_rejected_total_ != nullptr) delta_rejected_total_->Increment();
+  delta_rejected_total_->Increment();
   if (journal_ != nullptr) {
     journal_->Append(JournalEvent("delta_rejected")
                          .Set("path", path)
@@ -295,24 +260,12 @@ Status RecService::LoadDelta(const std::string& path) {
       }
       PublishSnapshot(std::move(applied));
       last_delta_publish_ms_.store(now_ms_(), std::memory_order_relaxed);
-      if (delta_lag_ms_gauge_ != nullptr) delta_lag_ms_gauge_->Set(0.0);
+      delta_lag_ms_gauge_->Set(0.0);
       breaker_.RecordSuccess();
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.delta_publishes;
-      }
-      if (delta_publishes_total_ != nullptr) {
-        delta_publishes_total_->Increment();
-      }
-      if (snapshot_shards_quarantined_total_ != nullptr && quarantined > 0) {
-        snapshot_shards_quarantined_total_->Add(quarantined);
-      }
-      if (quarantined_shards_gauge_ != nullptr) {
-        quarantined_shards_gauge_->Set(static_cast<double>(quarantined));
-      }
-      if (stale_shards_gauge_ != nullptr) {
-        stale_shards_gauge_->Set(static_cast<double>(stale));
-      }
+      delta_publishes_total_->Increment();
+      snapshot_shards_quarantined_total_->Add(quarantined);
+      quarantined_shards_gauge_->Set(static_cast<double>(quarantined));
+      stale_shards_gauge_->Set(static_cast<double>(stale));
       if (journal_ != nullptr) {
         journal_->Append(JournalEvent("delta_publish")
                              .Set("ok", true)
@@ -343,13 +296,7 @@ Status RecService::LoadDelta(const std::string& path) {
   // Unrecoverable delta (corrupt manifest/user table, bad geometry, every
   // changed shard corrupt): the base snapshot stays live.
   breaker_.RecordFailure();
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.snapshot_load_failures;
-  }
-  if (snapshot_load_failures_total_ != nullptr) {
-    snapshot_load_failures_total_->Increment();
-  }
+  snapshot_load_failures_total_->Increment();
   if (journal_ != nullptr) {
     journal_->Append(JournalEvent("delta_publish")
                          .Set("ok", false)
@@ -367,7 +314,7 @@ std::future<RecResponse> RecService::Submit(RecRequest request) {
   auto task = std::make_shared<Task>();
   task->request = std::move(request);
   std::future<RecResponse> future = task->promise.get_future();
-  if (requests_total_ != nullptr) requests_total_->Increment();
+  requests_total_->Increment();
   // Adaptive admission control: the overload controller sheds *before*
   // enqueue — batch traffic while the CoDel law declares overload, any
   // request whose deadline budget the smoothed queue-wait estimate already
@@ -387,90 +334,38 @@ std::future<RecResponse> RecService::Submit(RecRequest request) {
             "overloaded: queue delay above target; " +
             std::string(PriorityName(req.priority)) +
             " request shed, retry later");
-        {
-          std::lock_guard<std::mutex> lock(stats_mu_);
-          ++stats_.shed_queue_delay;
-        }
-        if (requests_shed_queue_delay_ != nullptr) {
-          requests_shed_queue_delay_->Increment();
-        }
+        requests_shed_queue_delay_->Increment();
       } else {
         shed.status = Status::Unavailable(
             "overloaded: deadline budget " + std::to_string(deadline_ms) +
             " ms below queue-wait estimate " +
             std::to_string(overload_->smoothed_wait_ms()) +
             " ms; refused as predicted late");
-        {
-          std::lock_guard<std::mutex> lock(stats_mu_);
-          ++stats_.shed_predicted_late;
-        }
-        if (requests_shed_predicted_late_ != nullptr) {
-          requests_shed_predicted_late_->Increment();
-        }
+        requests_shed_predicted_late_->Increment();
       }
       task->promise.set_value(std::move(shed));
       return future;
     }
   }
-  // Admission rides on the pool's bounded queue. The cancel callback is
-  // the shutdown contract: a request still queued when Shutdown() runs is
-  // resolved to kUnavailable — its future is always eventually satisfied,
-  // never hung, never dropped.
+  // Admission rides on the pool's bounded queue: the task goes onto the
+  // request queue and a drain ticket bound to it onto the pool, one ticket
+  // per request. The ticket's cancel callback is the shutdown contract: a
+  // request still queued when Shutdown() runs is resolved to kUnavailable
+  // — its future is always eventually satisfied, never hung, never
+  // dropped.
   task->enqueue_ms = now_ms_();
-  Status admitted;
-  if (options_.max_batch_size > 1) {
-    // Coalescing mode: the task goes onto the batch queue and a
-    // lightweight drain ticket onto the pool — admission (and queue-full
-    // shedding) still rides the pool's bounded queue, one ticket per
-    // request. A running ticket drains a compatible FIFO prefix of up to
-    // max_batch_size tasks; surplus tickets find an empty queue and
-    // no-op. #queued tasks never exceeds #outstanding tickets, so
-    // shutdown's per-ticket cancellations resolve every queued future.
-    {
-      std::lock_guard<std::mutex> lock(batch_mu_);
-      batch_queue_.push_back(task);
-    }
-    admitted = pool_.TrySubmit([this] { DrainAndProcess(); },
-                               [this] { CancelOneQueued(); });
-    if (!admitted.ok()) {
-      // Ticket refused: reclaim the queued task so it can be shed — unless
-      // a concurrently running drain (or a shutdown cancellation) already
-      // claimed and resolved it, in which case the request went through.
-      bool reclaimed = false;
-      {
-        std::lock_guard<std::mutex> lock(batch_mu_);
-        for (auto it = batch_queue_.rbegin(); it != batch_queue_.rend();
-             ++it) {
-          if (it->get() == task.get()) {
-            batch_queue_.erase(std::next(it).base());
-            reclaimed = true;
-            break;
-          }
-        }
-      }
-      if (!reclaimed) admitted = Status::OK();
-    }
-  } else {
-    admitted = pool_.TrySubmit(
-        [this, task] {
-          // Measured sojourn: the number the controller, the response
-          // field and the serve_queue_wait_ms histogram all agree on.
-          const double wait_ms = std::max(0.0, now_ms_() - task->enqueue_ms);
-          if (overload_ != nullptr) overload_->OnDequeue(wait_ms);
-          task->promise.set_value(Handle(task->request, wait_ms));
-        },
-        [this, task] {
-          if (requests_cancelled_ != nullptr) {
-            requests_cancelled_->Increment();
-          }
-          RecResponse response;
-          response.status = Status::Unavailable("service is shut down");
-          task->promise.set_value(std::move(response));
-        });
+  {
+    std::lock_guard<std::mutex> lock(batch_mu_);
+    batch_queue_.push_back(task);
   }
+  Status admitted = pool_.TrySubmit([this, task] { DrainAndProcess(task); },
+                                    [this, task] { CancelQueued(task); });
+  // Ticket refused: reclaim the task so it can be shed — unless a running
+  // drain already took it as a follower, in which case it is admitted and
+  // that drain answers it.
+  if (!admitted.ok() && !TakeQueued(task)) admitted = Status::OK();
   if (admitted.ok()) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.accepted;
+    requests_accepted_->Increment();
     return future;
   }
   // Load shedding: reject immediately with a definite status instead of
@@ -481,11 +376,7 @@ std::future<RecResponse> RecService::Submit(RecRequest request) {
                       : "work queue full (" +
                             std::to_string(options_.queue_capacity) +
                             " requests); load shed, retry later");
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.shed;
-  }
-  if (requests_shed_ != nullptr) requests_shed_->Increment();
+  requests_shed_->Increment();
   task->promise.set_value(std::move(shed));
   return future;
 }
@@ -506,7 +397,7 @@ void RecService::PublishSnapshot(
   // edge-triggered watchdog journal event.
   last_publish_ms_.store(now_ms_(), std::memory_order_relaxed);
   stale_tripped_.store(false, std::memory_order_relaxed);
-  if (staleness_ms_gauge_ != nullptr) staleness_ms_gauge_->Set(0.0);
+  staleness_ms_gauge_->Set(0.0);
 }
 
 std::shared_ptr<const EmbeddingSnapshot> RecService::snapshot() const {
@@ -515,8 +406,24 @@ std::shared_ptr<const EmbeddingSnapshot> RecService::snapshot() const {
 }
 
 RecServiceStats RecService::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return stats_;
+  RecServiceStats stats;
+  stats.accepted = requests_accepted_->value();
+  stats.shed = requests_shed_->value();
+  stats.shed_queue_delay = requests_shed_queue_delay_->value();
+  stats.shed_predicted_late = requests_shed_predicted_late_->value();
+  stats.brownout_transitions = brownout_transitions_total_->value();
+  stats.served_real = requests_ok_->value();
+  stats.served_degraded = requests_degraded_->value();
+  stats.served_partial_degraded = requests_partial_degraded_->value();
+  stats.deadline_exceeded = requests_deadline_->value();
+  stats.invalid_requests = requests_invalid_->value();
+  stats.snapshot_reloads = snapshot_reloads_total_->value();
+  stats.snapshot_load_failures = snapshot_load_failures_total_->value();
+  stats.rejected_publishes = snapshot_rejected_publishes_total_->value();
+  stats.staleness_trips = staleness_trips_total_->value();
+  stats.delta_publishes = delta_publishes_total_->value();
+  stats.rejected_deltas = delta_rejected_total_->value();
+  return stats;
 }
 
 int64_t RecService::brownout_level() const {
@@ -570,37 +477,6 @@ std::string RecService::HealthJson() const {
   return out.str();
 }
 
-RecResponse RecService::Handle(const RecRequest& request,
-                               double queue_wait_ms) {
-  ScopedTimer latency_timer(request_latency_ms_);
-  if (queue_wait_ms_ != nullptr) queue_wait_ms_->Record(queue_wait_ms);
-  // Ladder level is read once per request so one response reflects one
-  // consistent level.
-  const int64_t level =
-      overload_ != nullptr ? overload_->brownout_level() : 0;
-  RecResponse response = HandleScored(request, queue_wait_ms, level);
-  response.queue_wait_ms = queue_wait_ms;
-  response.brownout_level = level;
-  return response;
-}
-
-RecResponse RecService::HandleScored(const RecRequest& request,
-                                     double queue_wait_ms,
-                                     int64_t brownout_level) {
-  std::shared_ptr<const EmbeddingSnapshot> snapshot = this->snapshot();
-  ScorePlan plan =
-      PlanRequest(request, queue_wait_ms, snapshot, brownout_level);
-  if (plan.done) return plan.response;
-  std::vector<ScoredItem> items;
-  int64_t quarantined_skipped = 0;
-  Status status = recommender_.TopK(
-      *snapshot, request.user, plan.top_k, plan.scoring_deadline_ms,
-      request.exclude, request.item_begin, request.item_end, &items,
-      &quarantined_skipped, plan.max_scored_items);
-  return FinishScored(request, *snapshot, plan.top_k, std::move(status),
-                      std::move(items), quarantined_skipped);
-}
-
 RecService::ScorePlan RecService::PlanRequest(
     const RecRequest& request, double queue_wait_ms,
     const std::shared_ptr<const EmbeddingSnapshot>& snapshot,
@@ -644,11 +520,7 @@ RecService::ScorePlan RecService::PlanRequest(
     }
   }
   if (!invalid.ok()) {
-    if (requests_invalid_ != nullptr) requests_invalid_->Increment();
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.invalid_requests;
-    }
+    requests_invalid_->Increment();
     plan.done = true;
     plan.response.status = std::move(invalid);
     return plan;
@@ -662,13 +534,7 @@ RecService::ScorePlan RecService::PlanRequest(
   // the timing of the refusal differs.
   if (overload_ != nullptr && deadline_ms > 0.0 &&
       queue_wait_ms >= deadline_ms) {
-    if (requests_shed_predicted_late_ != nullptr) {
-      requests_shed_predicted_late_->Increment();
-    }
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.shed_predicted_late;
-    }
+    requests_shed_predicted_late_->Increment();
     plan.done = true;
     plan.response.status = Status::Unavailable(
         "overloaded: deadline budget " + std::to_string(deadline_ms) +
@@ -680,13 +546,9 @@ RecService::ScorePlan RecService::PlanRequest(
   // Delta lag: time since the live snapshot last advanced via a delta
   // publish. Exported on every request so a scraper watches the lag grow
   // live while deltas are rejected or failing.
-  if (delta_lag_ms_gauge_ != nullptr) {
-    const double last_delta =
-        last_delta_publish_ms_.load(std::memory_order_relaxed);
-    if (last_delta >= 0.0) {
-      delta_lag_ms_gauge_->Set(now_ms_() - last_delta);
-    }
-  }
+  const double last_delta =
+      last_delta_publish_ms_.load(std::memory_order_relaxed);
+  if (last_delta >= 0.0) delta_lag_ms_gauge_->Set(now_ms_() - last_delta);
 
   // Staleness watchdog: repeated reload failures leave the live snapshot
   // older than the bounded-staleness budget; past it the model scores are
@@ -695,20 +557,12 @@ RecService::ScorePlan RecService::PlanRequest(
   if (snapshot != nullptr && options_.max_snapshot_staleness_ms > 0.0) {
     const double published = last_publish_ms_.load(std::memory_order_relaxed);
     const double staleness_ms = published >= 0.0 ? now_ms_() - published : 0.0;
-    if (staleness_ms_gauge_ != nullptr) {
-      staleness_ms_gauge_->Set(staleness_ms);
-    }
+    staleness_ms_gauge_->Set(staleness_ms);
     if (staleness_ms > options_.max_snapshot_staleness_ms) {
       if (!stale_tripped_.exchange(true, std::memory_order_relaxed)) {
         // Edge-triggered: one journal event + trip count per episode, not
         // one per request in the storm.
-        if (staleness_trips_total_ != nullptr) {
-          staleness_trips_total_->Increment();
-        }
-        {
-          std::lock_guard<std::mutex> lock(stats_mu_);
-          ++stats_.staleness_trips;
-        }
+        staleness_trips_total_->Increment();
         if (journal_ != nullptr) {
           journal_->Append(
               JournalEvent("staleness")
@@ -808,11 +662,7 @@ RecResponse RecService::FinishScored(const RecRequest& request,
         response.items.insert(response.items.end(), backfill.begin(),
                               backfill.end());
       }
-      if (requests_partial_degraded_ != nullptr) {
-        requests_partial_degraded_->Increment();
-      }
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.served_partial_degraded;
+      requests_partial_degraded_->Increment();
       return response;
     }
     // Stale shards (a delta failed to replace them; old rows kept): the
@@ -824,30 +674,18 @@ RecResponse RecService::FinishScored(const RecRequest& request,
         request.item_end > 0 ? request.item_end : snapshot.num_items();
     if (snapshot.RangeTouchesStale(range_begin, range_end)) {
       response.partial_degraded = true;
-      if (requests_partial_degraded_ != nullptr) {
-        requests_partial_degraded_->Increment();
-      }
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.served_partial_degraded;
+      requests_partial_degraded_->Increment();
       return response;
     }
-    if (requests_ok_ != nullptr) requests_ok_->Increment();
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.served_real;
+    requests_ok_->Increment();
     return response;
   }
   // Scoring failure: feed the breaker and surface the definite status.
   breaker_.RecordFailure();
   if (response.status.code() == StatusCode::kDeadlineExceeded) {
-    if (requests_deadline_ != nullptr) requests_deadline_->Increment();
-  } else if (requests_error_ != nullptr) {
+    requests_deadline_->Increment();
+  } else {
     requests_error_->Increment();
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    if (response.status.code() == StatusCode::kDeadlineExceeded) {
-      ++stats_.deadline_exceeded;
-    }
   }
   response.items.clear();
   return response;
@@ -868,55 +706,48 @@ RecResponse RecService::DegradedResponse(
   } else {
     fallback_->TopK(top_k, exclude, &response.items);
   }
-  if (requests_degraded_ != nullptr) requests_degraded_->Increment();
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.served_degraded;
-  }
+  requests_degraded_->Increment();
   return response;
 }
 
-void RecService::DrainAndProcess() {
+bool RecService::TakeQueued(const std::shared_ptr<Task>& task) {
+  std::lock_guard<std::mutex> lock(batch_mu_);
+  auto it = std::find(batch_queue_.begin(), batch_queue_.end(), task);
+  if (it == batch_queue_.end()) return false;
+  batch_queue_.erase(it);
+  return true;
+}
+
+void RecService::DrainAndProcess(const std::shared_ptr<Task>& task) {
   std::vector<std::shared_ptr<Task>> batch;
   {
     std::lock_guard<std::mutex> lock(batch_mu_);
-    // An earlier ticket may have over-drained this ticket's request
-    // already; the surplus wakeup is a no-op.
-    if (batch_queue_.empty()) return;
-    batch.push_back(std::move(batch_queue_.front()));
-    batch_queue_.pop_front();
+    auto it = std::find(batch_queue_.begin(), batch_queue_.end(), task);
+    // An earlier drain took this ticket's request as a follower; the
+    // wakeup is a no-op.
+    if (it == batch_queue_.end()) return;
+    it = batch_queue_.erase(it);
+    batch.push_back(task);
     // Compatibility rule: a batch shares one TopKBatch call, so every
     // member must share the head's (item_begin, item_end). The scan is a
-    // FIFO prefix — an incompatible head-of-line request ends the batch
-    // rather than being jumped over, preserving per-range ordering.
-    const RecRequest& head = batch.front()->request;
+    // FIFO prefix — an incompatible request ends the batch rather than
+    // being jumped over, preserving per-range ordering.
+    const RecRequest& head = task->request;
     while (static_cast<int64_t>(batch.size()) < options_.max_batch_size &&
-           !batch_queue_.empty()) {
-      const RecRequest& next = batch_queue_.front()->request;
-      if (next.item_begin != head.item_begin ||
-          next.item_end != head.item_end) {
-        break;
-      }
-      batch.push_back(std::move(batch_queue_.front()));
-      batch_queue_.pop_front();
+           it != batch_queue_.end() &&
+           (*it)->request.item_begin == head.item_begin &&
+           (*it)->request.item_end == head.item_end) {
+      batch.push_back(std::move(*it));
+      it = batch_queue_.erase(it);
     }
   }
   ProcessBatch(batch);
 }
 
-void RecService::CancelOneQueued() {
-  std::shared_ptr<Task> task;
-  {
-    std::lock_guard<std::mutex> lock(batch_mu_);
-    if (!batch_queue_.empty()) {
-      task = std::move(batch_queue_.front());
-      batch_queue_.pop_front();
-    }
-  }
-  // No task: a drain consumed more requests than its own, leaving this
-  // ticket nothing to cancel — the corresponding future already resolved.
-  if (task == nullptr) return;
-  if (requests_cancelled_ != nullptr) requests_cancelled_->Increment();
+void RecService::CancelQueued(const std::shared_ptr<Task>& task) {
+  // Not queued: a drain took it as a follower and answers it.
+  if (!TakeQueued(task)) return;
+  requests_cancelled_->Increment();
   RecResponse response;
   response.status = Status::Unavailable("service is shut down");
   task->promise.set_value(std::move(response));
@@ -925,12 +756,8 @@ void RecService::CancelOneQueued() {
 void RecService::ProcessBatch(
     const std::vector<std::shared_ptr<Task>>& batch) {
   const double start_ms = now_ms_();
-  if (batch_size_ != nullptr) {
-    batch_size_->Record(static_cast<double>(batch.size()));
-  }
-  if (batched_requests_total_ != nullptr) {
-    batched_requests_total_->Add(static_cast<int64_t>(batch.size()));
-  }
+  batch_size_->Record(static_cast<double>(batch.size()));
+  batched_requests_total_->Add(static_cast<int64_t>(batch.size()));
   // Snapshot and ladder level are pinned once per batch: every member
   // scores against the same snapshot and reports one consistent level.
   const int64_t level =
@@ -940,7 +767,7 @@ void RecService::ProcessBatch(
   // Per-member pre-scoring pass: measured sojourns feed the controller,
   // and PlanRequest resolves everything that must not reach the kernel —
   // invalid requests, deadline-expired-in-queue refusals, degraded and
-  // brownout fallbacks — exactly as the per-request path would.
+  // brownout fallbacks.
   std::vector<double> waits(batch.size());
   std::vector<ScorePlan> plans(batch.size());
   std::vector<size_t> scored;
@@ -948,7 +775,7 @@ void RecService::ProcessBatch(
   for (size_t i = 0; i < batch.size(); ++i) {
     waits[i] = std::max(0.0, start_ms - batch[i]->enqueue_ms);
     if (overload_ != nullptr) overload_->OnDequeue(waits[i]);
-    if (queue_wait_ms_ != nullptr) queue_wait_ms_->Record(waits[i]);
+    queue_wait_ms_->Record(waits[i]);
     plans[i] = PlanRequest(batch[i]->request, waits[i], snapshot, level);
     if (plans[i].done) continue;
     Recommender::BatchQuery query;
@@ -993,9 +820,7 @@ void RecService::ProcessBatch(
     RecResponse response = std::move(plans[i].response);
     response.queue_wait_ms = waits[i];
     response.brownout_level = level;
-    if (request_latency_ms_ != nullptr) {
-      request_latency_ms_->Record(handle_ms);
-    }
+    request_latency_ms_->Record(handle_ms);
     batch[i]->promise.set_value(std::move(response));
   }
 }

@@ -68,7 +68,10 @@
 
 namespace imcat {
 
-/// Monotonic counters describing service activity (one consistent read).
+/// Monotonic counters describing service activity, read from the
+/// service's `serve_*` metrics (each field is one counter; a field is exact
+/// once the writers it counts have synchronised with the reader, e.g. via
+/// a resolved future).
 struct RecServiceStats {
   int64_t accepted = 0;          ///< Requests admitted to the queue.
   int64_t shed = 0;              ///< Rejected kUnavailable: queue full.
@@ -108,16 +111,16 @@ struct RecServiceStats {
 struct RecServiceOptions {
   int64_t num_workers = 2;
   int64_t queue_capacity = 32;
-  /// Request coalescing (DESIGN.md §12): a worker wakeup drains up to this
-  /// many compatible queued requests — same (item_begin, item_end) range,
-  /// FIFO prefix — and scores them through the multi-user batched kernel
-  /// against one pinned snapshot and one brownout-ladder level. Per-request
-  /// deadlines, exclusions, validation and the full response taxonomy are
-  /// preserved per batch member; deadline-expired and predicted-late
-  /// requests are still refused at dequeue, before scoring. 1 (the
-  /// default) keeps the strict one-request-per-wakeup behaviour; 8 is a
-  /// good starting point for throughput-bound deployments (see
-  /// docs/PERFORMANCE.md for tuning).
+  /// Request coalescing (DESIGN.md §12): a worker wakeup scores its own
+  /// request plus up to this many minus one compatible requests queued
+  /// behind it — same (item_begin, item_end) range, FIFO prefix — through
+  /// the multi-user batched kernel against one pinned snapshot and one
+  /// brownout-ladder level. Per-request deadlines, exclusions, validation
+  /// and the full response taxonomy are preserved per batch member;
+  /// deadline-expired and predicted-late requests are still refused at
+  /// dequeue, before scoring. 1 (the default) scores one request per
+  /// wakeup, a batch of one; 8 is a good starting point for
+  /// throughput-bound deployments (see docs/PERFORMANCE.md for tuning).
   int64_t max_batch_size = 1;
   int64_t default_top_k = 20;
   /// Deadline applied when a request does not set one.
@@ -145,18 +148,23 @@ struct RecServiceOptions {
   /// Sleeper for backoff delays; empty uses this_thread::sleep_for. Tests
   /// inject a no-op to keep retry loops instant.
   std::function<void(double)> sleep_ms;
-  /// Optional instrumentation (DESIGN.md §9). When non-null the service
-  /// maintains the `serve_*` request-accounting counters (which satisfy
+  /// Registry for the service's metrics (DESIGN.md §9); null gives the
+  /// service a private one, so instrumentation is always on and stats()
+  /// reads the same counters either way. The service maintains the
+  /// `serve_*` request-accounting counters (which satisfy
   /// `serve_requests_total` == sum of the per-outcome counters once every
-  /// submitted future has resolved), the `serve_request_latency_ms`
-  /// histogram (Handle wall time; with coalescing on, each batch member
-  /// records the batch's handling wall time) and `serve_queue_wait_ms`
-  /// (measured per-request sojourn, the overload controller's input
-  /// signal), the `serve_batch_size` histogram + `serve_batched_requests_
-  /// total` counter (one sample per worker drain / one count per coalesced
-  /// request, recorded only when max_batch_size > 1), the
-  /// `serve_breaker_state` / `serve_brownout_level` gauges, and the
-  /// snapshot reload counters. Null keeps the service uninstrumented.
+  /// submitted future has resolved; `serve_requests_accepted_total` counts
+  /// the requests admitted to the queue), the `serve_request_latency_ms`
+  /// histogram (each batch member records its batch's handling time),
+  /// `serve_queue_wait_ms` (measured per-request sojourn, the overload
+  /// controller's input signal), the `serve_batch_size` histogram and
+  /// `serve_batched_requests_total` counter (one sample per worker drain,
+  /// one count per request scored via a drain), the `serve_breaker_state`
+  /// / `serve_brownout_level` gauges, the snapshot reload counters, and
+  /// the worker pool's `serve_pool_*` metrics. The names carry no
+  /// per-service prefix, so one registry serves one RecService: two
+  /// services on one registry share counters, and each one's stats() and
+  /// `/metrics` then count both.
   MetricsRegistry* metrics = nullptr;
   /// Optional run journal: snapshot (re)loads and circuit-breaker state
   /// transitions are appended as "snapshot_reload" / "breaker" events.
@@ -253,21 +261,12 @@ class RecService {
     double enqueue_ms = 0.0;
   };
 
-  /// Full request handling; `queue_wait_ms` is the measured sojourn the
-  /// worker computed from Task::enqueue_ms (threaded into the response and
-  /// the deadline math).
-  RecResponse Handle(const RecRequest& request, double queue_wait_ms);
-  /// Handle minus the latency timer / response-field stamping:
-  /// `brownout_level` is the ladder level read once at dequeue.
-  RecResponse HandleScored(const RecRequest& request, double queue_wait_ms,
-                           int64_t brownout_level);
-
-  /// Everything HandleScored decides *before* scoring: validation,
+  /// Everything a batch member needs decided *before* scoring: validation,
   /// expired-in-queue refusal, staleness/degraded/brownout early-outs, and
   /// the scoring budgets. When `done` is set the response is final without
   /// touching the recommender (its outcome counters are already bumped);
   /// otherwise top_k / scoring_deadline_ms / max_scored_items parameterise
-  /// the scoring call, scalar or batched.
+  /// the batched scoring call.
   struct ScorePlan {
     bool done = false;
     RecResponse response;
@@ -278,25 +277,26 @@ class RecService {
   ScorePlan PlanRequest(const RecRequest& request, double queue_wait_ms,
                         const std::shared_ptr<const EmbeddingSnapshot>& snap,
                         int64_t brownout_level);
-  /// Everything HandleScored does *after* scoring: partial-degraded
-  /// backfill, stale-range flagging, outcome counters and breaker
-  /// feedback. Shared verbatim by the scalar and batched paths so one
-  /// request's accounting is identical whichever path scored it.
+  /// Everything after scoring: partial-degraded backfill, stale-range
+  /// flagging, outcome counters and breaker feedback.
   RecResponse FinishScored(const RecRequest& request,
                            const EmbeddingSnapshot& snap, int64_t top_k,
                            Status status, std::vector<ScoredItem> items,
                            int64_t quarantined_skipped);
 
-  /// Coalescing worker body (max_batch_size > 1): pops a FIFO prefix of up
-  /// to max_batch_size compatible requests (same item range) off
-  /// batch_queue_ and scores them as one TopKBatch call. A wakeup whose
-  /// request was already drained by an earlier wakeup is a no-op — there
-  /// is one pool ticket per submitted request, so #queued requests never
-  /// exceeds #outstanding tickets and shutdown resolves every future.
-  void DrainAndProcess();
-  /// Coalescing cancel path (pool shutdown): resolves one queued request
-  /// to kUnavailable, mirroring the per-request cancel contract.
-  void CancelOneQueued();
+  /// Worker body of the pool ticket bound to `task`: when `task` is still
+  /// queued it heads a batch, followed by the compatible FIFO prefix queued
+  /// behind it (same item range, up to max_batch_size), scored as one
+  /// TopKBatch call. When an earlier drain already took `task` as a
+  /// follower the ticket is a no-op. Each queued task has exactly one
+  /// ticket, so every future resolves once: run by a drain, or cancelled.
+  void DrainAndProcess(const std::shared_ptr<Task>& task);
+  /// Cancel path of the same ticket (pool shutdown): resolves `task` to
+  /// kUnavailable when it is still queued; no-op when a drain took it.
+  void CancelQueued(const std::shared_ptr<Task>& task);
+  /// Removes `task` from batch_queue_ if it is still there; false when a
+  /// drain already took it.
+  bool TakeQueued(const std::shared_ptr<Task>& task);
   void ProcessBatch(const std::vector<std::shared_ptr<Task>>& batch);
   /// Full-fallback response; when `item_end` > 0 the popularity ranking is
   /// restricted to [item_begin, item_end).
@@ -305,6 +305,9 @@ class RecService {
                                int64_t item_begin, int64_t item_end);
 
   RecServiceOptions options_;
+  /// Registry of every handle below: options.metrics, else own_metrics_.
+  std::unique_ptr<MetricsRegistry> own_metrics_;
+  MetricsRegistry* metrics_;
   std::shared_ptr<const PopularityRanker> fallback_;
   Recommender recommender_;
   CircuitBreaker breaker_;
@@ -334,54 +337,51 @@ class RecService {
   std::atomic<double> last_publish_ms_{-1.0};
   std::atomic<bool> stale_tripped_{false};
 
-  mutable std::mutex stats_mu_;
-  RecServiceStats stats_;
-
-  /// Request-accounting metric handles (all null when options.metrics is
-  /// null). The exact-accounting identity, asserted by the chaos suite:
+  /// Request-accounting metric handles, resolved once at construction in
+  /// metrics_. The exact-accounting identity, asserted by the chaos suite:
   ///   requests_total == ok + degraded + partial_degraded + shed
   ///                     + shed_queue_delay + shed_predicted_late
   ///                     + deadline_exceeded + invalid + error + cancelled
   /// once every submitted future has resolved.
-  Counter* requests_total_ = nullptr;
-  Counter* requests_ok_ = nullptr;
-  Counter* requests_degraded_ = nullptr;
-  Counter* requests_partial_degraded_ = nullptr;
-  Counter* requests_shed_ = nullptr;
-  Counter* requests_shed_queue_delay_ = nullptr;
-  Counter* requests_shed_predicted_late_ = nullptr;
-  Counter* requests_deadline_ = nullptr;
-  Counter* requests_invalid_ = nullptr;
-  Counter* requests_error_ = nullptr;
-  Counter* requests_cancelled_ = nullptr;
-  Counter* snapshot_reloads_total_ = nullptr;
-  Counter* snapshot_load_failures_total_ = nullptr;
-  Counter* snapshot_rejected_publishes_total_ = nullptr;
-  Counter* snapshot_shards_quarantined_total_ = nullptr;
-  Counter* staleness_trips_total_ = nullptr;
-  Counter* breaker_transitions_total_ = nullptr;
-  Counter* delta_publishes_total_ = nullptr;
-  Counter* delta_rejected_total_ = nullptr;
-  Counter* brownout_transitions_total_ = nullptr;
-  Gauge* brownout_level_gauge_ = nullptr;
-  Gauge* breaker_state_gauge_ = nullptr;
-  Gauge* quarantined_shards_gauge_ = nullptr;
-  Gauge* staleness_ms_gauge_ = nullptr;
-  Gauge* stale_shards_gauge_ = nullptr;
-  Gauge* delta_lag_ms_gauge_ = nullptr;
-  Histogram* request_latency_ms_ = nullptr;
+  Counter* requests_total_;
+  Counter* requests_accepted_;
+  Counter* requests_ok_;
+  Counter* requests_degraded_;
+  Counter* requests_partial_degraded_;
+  Counter* requests_shed_;
+  Counter* requests_shed_queue_delay_;
+  Counter* requests_shed_predicted_late_;
+  Counter* requests_deadline_;
+  Counter* requests_invalid_;
+  Counter* requests_error_;
+  Counter* requests_cancelled_;
+  Counter* snapshot_reloads_total_;
+  Counter* snapshot_load_failures_total_;
+  Counter* snapshot_rejected_publishes_total_;
+  Counter* snapshot_shards_quarantined_total_;
+  Counter* staleness_trips_total_;
+  Counter* breaker_transitions_total_;
+  Counter* delta_publishes_total_;
+  Counter* delta_rejected_total_;
+  Counter* brownout_transitions_total_;
+  Gauge* brownout_level_gauge_;
+  Gauge* breaker_state_gauge_;
+  Gauge* quarantined_shards_gauge_;
+  Gauge* staleness_ms_gauge_;
+  Gauge* stale_shards_gauge_;
+  Gauge* delta_lag_ms_gauge_;
+  Histogram* request_latency_ms_;
   /// Measured per-request queue sojourn (the controller's input signal),
   /// recorded for every dequeued request whether or not the controller is
   /// enabled.
-  Histogram* queue_wait_ms_ = nullptr;
-  /// Coalescing instrumentation (recorded only when max_batch_size > 1):
-  /// one serve_batch_size sample per worker drain, one
+  Histogram* queue_wait_ms_;
+  /// One serve_batch_size sample per worker drain, one
   /// serve_batched_requests_total count per request scored via a drain.
-  Histogram* batch_size_ = nullptr;
-  Counter* batched_requests_total_ = nullptr;
+  Histogram* batch_size_;
+  Counter* batched_requests_total_;
   RunJournal* journal_ = nullptr;
 
-  /// Records a delta refusal (stats + counter + "delta_rejected" journal).
+  /// Records a delta refusal (counter + "delta_rejected" journal).
   void RecordDeltaRejected(const std::string& path, int64_t live_version,
                            int64_t base_version, const std::string& reason);
 
@@ -390,15 +390,16 @@ class RecService {
   /// a scraper sees delta lag grow live while publishes fail.
   std::atomic<double> last_delta_publish_ms_{-1.0};
 
-  /// Coalescing queue (used only when max_batch_size > 1). Each Submit
-  /// pushes its task here and enqueues one lightweight drain ticket on the
-  /// pool; a running ticket drains a compatible FIFO prefix. Declared
-  /// before pool_ so it outlives the pool's shutdown cancellations.
+  /// The request queue. Each Submit pushes its task here and enqueues one
+  /// drain ticket bound to it on the pool, whose bounded queue does
+  /// admission; a running ticket drains its task plus a compatible FIFO
+  /// prefix. Declared before pool_ so it outlives the pool's shutdown
+  /// cancellations.
   std::mutex batch_mu_;
   std::deque<std::shared_ptr<Task>> batch_queue_;
 
   /// Workers + bounded queue + shutdown contract. Declared last so the
-  /// pool (and with it every in-flight Handle referencing this service)
+  /// pool (and with it every in-flight drain referencing this service)
   /// is torn down before any other member.
   ThreadPool pool_;
 };

@@ -122,14 +122,17 @@ Status ValidateArtifactFile(const std::string& path,
 SnapshotStore::SnapshotStore(std::string dir,
                              const SnapshotStoreOptions& options)
     : dir_(std::move(dir)), options_(options) {
-  if (options_.metrics != nullptr) {
-    gc_deleted_total_ = options_.metrics->GetCounter("store_gc_deleted_total");
-    recovered_total_ = options_.metrics->GetCounter("store_recovered_total");
-    quarantined_total_ =
-        options_.metrics->GetCounter("store_quarantined_total");
-    artifacts_gauge_ = options_.metrics->GetGauge("store_artifacts_total");
-    bytes_gauge_ = options_.metrics->GetGauge("store_bytes");
+  if (options_.metrics == nullptr) {
+    own_metrics_ = std::make_unique<MetricsRegistry>();
   }
+  MetricsRegistry* metrics =
+      options_.metrics != nullptr ? options_.metrics : own_metrics_.get();
+  committed_total_ = metrics->GetCounter("store_committed_total");
+  gc_deleted_total_ = metrics->GetCounter("store_gc_deleted_total");
+  recovered_total_ = metrics->GetCounter("store_recovered_total");
+  quarantined_total_ = metrics->GetCounter("store_quarantined_total");
+  artifacts_gauge_ = metrics->GetGauge("store_artifacts_total");
+  bytes_gauge_ = metrics->GetGauge("store_bytes");
 }
 
 StatusOr<std::unique_ptr<SnapshotStore>> SnapshotStore::Open(
@@ -167,8 +170,7 @@ void SnapshotStore::QuarantineLocked(const std::string& filename,
                                      const std::string& reason) {
   std::error_code ec;
   fs::rename(PathFor(filename), PathFor(filename + kCorruptSuffix), ec);
-  ++stats_.quarantined_total;
-  if (quarantined_total_ != nullptr) quarantined_total_->Increment();
+  quarantined_total_->Increment();
   if (options_.journal != nullptr) {
     options_.journal->Append(JournalEvent("store_quarantine")
                                  .Set("file", filename)
@@ -255,6 +257,7 @@ Status ParseManifestFile(const std::string& path,
 
 Status SnapshotStore::Recover() {
   std::lock_guard<std::mutex> lock(mu_);
+  const int64_t quarantined_before = quarantined_total_->value();
 
   // Step 1: the durable manifest, if it survives its own checksum.
   std::vector<StoreArtifact> listed;
@@ -302,8 +305,7 @@ Status SnapshotStore::Recover() {
     if (condemned_names.count(name) != 0) {
       std::error_code ec;
       fs::remove(entry.path(), ec);
-      ++stats_.gc_deleted_total;
-      if (gc_deleted_total_ != nullptr) gc_deleted_total_->Increment();
+      gc_deleted_total_->Increment();
       continue;
     }
     StoreArtifact artifact;
@@ -376,13 +378,10 @@ Status SnapshotStore::Recover() {
   for (const StoreArtifact& a : artifacts_) {
     if (!have_manifest || active_names.count(a.filename) == 0) {
       ++recovery_.recovered;
-      ++stats_.recovered_total;
-      if (recovered_total_ != nullptr) recovered_total_->Increment();
+      recovered_total_->Increment();
     }
   }
-  // The store is freshly constructed, so every quarantine counted so far
-  // happened during this recovery.
-  recovery_.quarantined = stats_.quarantined_total;
+  recovery_.quarantined = quarantined_total_->value() - quarantined_before;
 
   // Step 5: make the durable manifest match reality.
   IMCAT_RETURN_IF_ERROR(WriteManifestLocked());
@@ -468,7 +467,7 @@ Status SnapshotStore::CommitArtifact(StoreArtifact artifact) {
         artifacts_.end());
     return written;
   }
-  ++stats_.committed_total;
+  committed_total_->Increment();
   UpdateGaugesLocked();
   if (options_.journal != nullptr) {
     options_.journal->Append(
@@ -593,8 +592,7 @@ Status SnapshotStore::RunGCLocked() {
     std::error_code ec;
     fs::remove(path, ec);
     ++deleted;
-    ++stats_.gc_deleted_total;
-    if (gc_deleted_total_ != nullptr) gc_deleted_total_->Increment();
+    gc_deleted_total_->Increment();
   }
 
   // Durable step n+1: drop the condemned entries.
@@ -706,7 +704,14 @@ int64_t SnapshotStore::NextVersion() const {
 
 StoreStats SnapshotStore::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  StoreStats stats;
+  stats.artifacts = static_cast<int64_t>(artifacts_gauge_->value());
+  stats.bytes = static_cast<int64_t>(bytes_gauge_->value());
+  stats.committed_total = committed_total_->value();
+  stats.gc_deleted_total = gc_deleted_total_->value();
+  stats.recovered_total = recovered_total_->value();
+  stats.quarantined_total = quarantined_total_->value();
+  return stats;
 }
 
 std::vector<StoreArtifact> SnapshotStore::Artifacts() const {
@@ -722,12 +727,8 @@ void SnapshotStore::UpdateGaugesLocked() {
     ++count;
     bytes += a.bytes;
   }
-  stats_.artifacts = count;
-  stats_.bytes = bytes;
-  if (artifacts_gauge_ != nullptr) {
-    artifacts_gauge_->Set(static_cast<double>(count));
-  }
-  if (bytes_gauge_ != nullptr) bytes_gauge_->Set(static_cast<double>(bytes));
+  artifacts_gauge_->Set(static_cast<double>(count));
+  bytes_gauge_->Set(static_cast<double>(bytes));
 }
 
 }  // namespace imcat

@@ -53,10 +53,11 @@
 /// manifest-last publish order and the condemn-first GC order make every
 /// crash interleaving land in exactly one of those states.
 ///
-/// Metrics (when `options.metrics` is set): `store_artifacts_total` /
+/// Metrics (in `options.metrics`, or a private registry when it is null;
+/// one registry serves one store): `store_artifacts_total` /
 /// `store_bytes` gauges of the current registered store,
-/// `store_gc_deleted_total`, `store_recovered_total`,
-/// `store_quarantined_total` counters. Journal events: `store_recovery`
+/// `store_committed_total`, `store_gc_deleted_total`,
+/// `store_recovered_total`, `store_quarantined_total` counters. Journal events: `store_recovery`
 /// (one per Open), `store_gc` (one per collecting run), `store_commit`
 /// (one per registered publish), `store_quarantine` (one per renamed
 /// file).
@@ -92,7 +93,8 @@ struct SnapshotStoreOptions {
   int64_t retain_full = 2;
   /// Run retention GC automatically after every successful commit.
   bool gc_on_commit = true;
-  /// Optional instrumentation (metrics + journal names above).
+  /// Instrumentation (metrics + journal names above); null metrics gives
+  /// the store a private registry, null journal keeps no journal.
   MetricsRegistry* metrics = nullptr;
   RunJournal* journal = nullptr;
 };
@@ -119,8 +121,8 @@ struct StoreRecoveryReport {
   int64_t tmp_removed = 0;
 };
 
-/// Monotonic store counters (one consistent read; the lifetime counters
-/// also feed the `store_*` metrics when instrumentation is wired).
+/// Store counters, read from the `store_*` metrics under the store lock
+/// (one consistent read).
 struct StoreStats {
   int64_t artifacts = 0;  ///< Currently registered (non-condemned).
   int64_t bytes = 0;      ///< Their total on-disk size.
@@ -216,8 +218,9 @@ class SnapshotStore {
   std::vector<StoreArtifact> artifacts_;
   int64_t live_version_ = -1;
   StoreRecoveryReport recovery_;
-  StoreStats stats_;
-
+  /// Private registry when options.metrics is null.
+  std::unique_ptr<MetricsRegistry> own_metrics_;
+  Counter* committed_total_ = nullptr;
   Counter* gc_deleted_total_ = nullptr;
   Counter* recovered_total_ = nullptr;
   Counter* quarantined_total_ = nullptr;

@@ -106,8 +106,11 @@ bool ContainsSorted(const std::vector<int64_t>& vec, int64_t value) {
 }  // namespace
 
 void OnlineUpdater::ResolveMetrics() {
-  if (options_.metrics == nullptr) return;
-  MetricsRegistry* m = options_.metrics;
+  if (options_.metrics == nullptr) {
+    own_metrics_ = std::make_unique<MetricsRegistry>();
+  }
+  MetricsRegistry* m =
+      options_.metrics != nullptr ? options_.metrics : own_metrics_.get();
   edges_ingested_total_ = m->GetCounter("updater_edges_ingested_total");
   edges_duplicate_total_ = m->GetCounter("updater_edges_duplicate_total");
   edges_rejected_total_ = m->GetCounter("updater_edges_rejected_total");
@@ -221,7 +224,7 @@ Status OnlineUpdater::AddInteractions(const EdgeList& edges) {
         i >= initial_items_ + options_.max_new_items) {
       // Growth guard: one corrupt id must not balloon the factor tables.
       ++growth_rejected_;
-      if (edges_rejected_total_ != nullptr) edges_rejected_total_->Increment();
+      edges_rejected_total_->Increment();
       continue;
     }
     const bool already_applied =
@@ -229,17 +232,13 @@ Status OnlineUpdater::AddInteractions(const EdgeList& edges) {
         ContainsSorted(user_items_[static_cast<size_t>(u)], i);
     if (already_applied || !pending_set_.emplace(u, i).second) {
       ++duplicates_skipped_;
-      if (edges_duplicate_total_ != nullptr) {
-        edges_duplicate_total_->Increment();
-      }
+      edges_duplicate_total_->Increment();
       continue;
     }
     pending_.emplace_back(u, i);
-    if (edges_ingested_total_ != nullptr) edges_ingested_total_->Increment();
+    edges_ingested_total_->Increment();
   }
-  if (pending_gauge_ != nullptr) {
-    pending_gauge_->Set(static_cast<double>(pending_.size()));
-  }
+  pending_gauge_->Set(static_cast<double>(pending_.size()));
   return Status::OK();
 }
 
@@ -294,10 +293,10 @@ Status OnlineUpdater::ApplyPending() {
   users_dirty_ = true;
   const int64_t applied = static_cast<int64_t>(pending_.size());
   applied_edges_total_ += applied;
-  if (edges_applied_total_ != nullptr) edges_applied_total_->Add(applied);
+  edges_applied_total_->Add(applied);
   pending_.clear();
   pending_set_.clear();
-  if (pending_gauge_ != nullptr) pending_gauge_->Set(0.0);
+  pending_gauge_->Set(0.0);
   if (options_.journal != nullptr) {
     options_.journal->Append(
         JournalEvent("updater_apply")
@@ -333,7 +332,7 @@ void OnlineUpdater::SolveUser(int64_t u) {
   if (!CholeskySolve(&gram, d, &rhs)) return;
   float* row = users_.data() + u * d;
   for (int64_t r = 0; r < d; ++r) row[r] = static_cast<float>(rhs[r]);
-  if (solves_total_ != nullptr) solves_total_->Increment();
+  solves_total_->Increment();
 }
 
 void OnlineUpdater::SolveItem(int64_t i) {
@@ -355,7 +354,7 @@ void OnlineUpdater::SolveItem(int64_t i) {
   if (!CholeskySolve(&gram, d, &rhs)) return;
   float* row = items_.data() + i * d;
   for (int64_t r = 0; r < d; ++r) row[r] = static_cast<float>(rhs[r]);
-  if (solves_total_ != nullptr) solves_total_->Increment();
+  solves_total_->Increment();
 }
 
 Status OnlineUpdater::PublishDelta(const std::string& path) {
@@ -387,7 +386,7 @@ Status OnlineUpdater::PublishDelta(const std::string& path) {
   published_version_ = delta.version;
   dirty_shards_.clear();
   users_dirty_ = false;
-  if (publishes_total_ != nullptr) publishes_total_->Increment();
+  publishes_total_->Increment();
   return Status::OK();
 }
 
@@ -410,7 +409,7 @@ Status OnlineUpdater::PublishFull(const std::string& path) {
   published_version_ = full.version;
   dirty_shards_.clear();
   users_dirty_ = false;
-  if (publishes_total_ != nullptr) publishes_total_->Increment();
+  publishes_total_->Increment();
   return Status::OK();
 }
 
@@ -607,9 +606,7 @@ Status OnlineUpdater::Restore(const std::string& path) {
     pending_set_.emplace(u, i);
   }
   ingest_report_ = IngestFileReport();
-  if (pending_gauge_ != nullptr) {
-    pending_gauge_->Set(static_cast<double>(pending_.size()));
-  }
+  pending_gauge_->Set(static_cast<double>(pending_.size()));
   if (options_.journal != nullptr) {
     options_.journal->Append(JournalEvent("updater_restore")
                                  .Set("path", path)

@@ -72,9 +72,10 @@ struct OnlineUpdaterOptions {
     o.policy = ParsePolicy::kPermissive;
     return o;
   }();
-  /// Optional instrumentation: the `updater_*` metric family (ingested /
-  /// duplicate / rejected / applied edge counters, solve counter, pending
-  /// gauge, apply-latency histogram) and "updater_*" journal events.
+  /// Instrumentation: the `updater_*` metric family (ingested / duplicate
+  /// / rejected / applied edge counters, solve counter, pending gauge,
+  /// apply-latency histogram) in `metrics`, or in a private registry when
+  /// it is null, and "updater_*" journal events when `journal` is set.
   MetricsRegistry* metrics = nullptr;
   RunJournal* journal = nullptr;
 };
@@ -216,6 +217,8 @@ class OnlineUpdater {
   int64_t applied_edges_total_ = 0;
   IngestFileReport ingest_report_;
 
+  /// Private registry when options_.metrics is null.
+  std::unique_ptr<MetricsRegistry> own_metrics_;
   Counter* edges_ingested_total_ = nullptr;
   Counter* edges_duplicate_total_ = nullptr;
   Counter* edges_rejected_total_ = nullptr;

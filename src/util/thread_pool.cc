@@ -35,14 +35,16 @@ ThreadPool::ThreadPool(const ThreadPoolOptions& options) {
   }
   IMCAT_CHECK_GT(options.queue_capacity, 0);
   queue_capacity_ = options.queue_capacity;
-  if (options.metrics != nullptr) {
-    const std::string& p = options.metrics_prefix;
-    tasks_run_total_ = options.metrics->GetCounter(p + "_tasks_run_total");
-    tasks_cancelled_total_ =
-        options.metrics->GetCounter(p + "_tasks_cancelled_total");
-    queue_wait_ms_ = options.metrics->GetHistogram(p + "_queue_wait_ms");
-    queue_depth_gauge_ = options.metrics->GetGauge(p + "_queue_depth");
+  if (options.metrics == nullptr) {
+    own_metrics_ = std::make_unique<MetricsRegistry>();
   }
+  MetricsRegistry* metrics =
+      options.metrics != nullptr ? options.metrics : own_metrics_.get();
+  const std::string& p = options.metrics_prefix;
+  tasks_run_total_ = metrics->GetCounter(p + "_tasks_run_total");
+  tasks_cancelled_total_ = metrics->GetCounter(p + "_tasks_cancelled_total");
+  queue_wait_ms_ = metrics->GetHistogram(p + "_queue_wait_ms");
+  queue_depth_gauge_ = metrics->GetGauge(p + "_queue_depth");
   workers_.reserve(static_cast<size_t>(num_threads_));
   for (int64_t i = 0; i < num_threads_; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -91,12 +93,9 @@ Status ThreadPool::SubmitLocked(std::function<void()> run,
     return Status::Unavailable("thread pool queue full (" +
                                std::to_string(queue_capacity_) + " tasks)");
   }
-  QueuedTask task{std::move(run), std::move(cancel)};
-  if (queue_wait_ms_ != nullptr) task.enqueued_ms = MetricsNowMs();
-  queue_.push_back(std::move(task));
-  if (queue_depth_gauge_ != nullptr) {
-    queue_depth_gauge_->Set(static_cast<double>(queue_.size()));
-  }
+  queue_.push_back(QueuedTask{std::move(run), std::move(cancel),
+                              MetricsNowMs()});
+  queue_depth_gauge_->Set(static_cast<double>(queue_.size()));
   work_cv_.notify_one();
   return Status::OK();
 }
@@ -124,13 +123,9 @@ void ThreadPool::RunCaptured(const std::function<void()>& run) {
 
 void ThreadPool::NoteTaskDequeued(const QueuedTask& task,
                                   int64_t depth_after) {
-  if (tasks_run_total_ != nullptr) tasks_run_total_->Increment();
-  if (queue_wait_ms_ != nullptr) {
-    queue_wait_ms_->Record(MetricsNowMs() - task.enqueued_ms);
-  }
-  if (queue_depth_gauge_ != nullptr) {
-    queue_depth_gauge_->Set(static_cast<double>(depth_after));
-  }
+  tasks_run_total_->Increment();
+  queue_wait_ms_->Record(MetricsNowMs() - task.enqueued_ms);
+  queue_depth_gauge_->Set(static_cast<double>(depth_after));
 }
 
 bool ThreadPool::RunOneQueuedTask() {
@@ -187,9 +182,9 @@ void ThreadPool::Shutdown() {
     std::lock_guard<std::mutex> lock(mu_);
     leftover.swap(queue_);
   }
-  if (queue_depth_gauge_ != nullptr) queue_depth_gauge_->Set(0.0);
+  queue_depth_gauge_->Set(0.0);
   for (QueuedTask& task : leftover) {
-    if (tasks_cancelled_total_ != nullptr) tasks_cancelled_total_->Increment();
+    tasks_cancelled_total_->Increment();
     if (task.cancel) RunCaptured(task.cancel);
   }
 }

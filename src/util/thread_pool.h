@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -59,12 +60,11 @@ struct ThreadPoolOptions {
   int64_t num_threads = 0;
   /// Upper bound on queued (not yet running) tasks.
   int64_t queue_capacity = 1024;
-  /// Optional instrumentation (DESIGN.md §9). When non-null the pool
-  /// maintains `<metrics_prefix>_tasks_run_total`,
+  /// Registry for the pool's metrics (DESIGN.md §9); null gives the pool
+  /// a private one. The pool maintains `<metrics_prefix>_tasks_run_total`,
   /// `<metrics_prefix>_tasks_cancelled_total`, a
   /// `<metrics_prefix>_queue_wait_ms` histogram (admission to execution)
-  /// and a `<metrics_prefix>_queue_depth` gauge. Null (the default) keeps
-  /// the pool entirely uninstrumented — not even a clock read per task.
+  /// and a `<metrics_prefix>_queue_depth` gauge.
   MetricsRegistry* metrics = nullptr;
   std::string metrics_prefix = "pool";
 };
@@ -140,7 +140,7 @@ class ThreadPool {
   struct QueuedTask {
     std::function<void()> run;
     std::function<void()> cancel;
-    /// Admission time (MetricsNowMs) when metrics are enabled; 0 otherwise.
+    /// Admission time (MetricsNowMs).
     double enqueued_ms = 0.0;
   };
 
@@ -168,8 +168,9 @@ class ThreadPool {
   Status first_task_error_;
   int64_t task_exceptions_ = 0;
 
-  /// Instrumentation handles (null when ThreadPoolOptions::metrics is
-  /// null); resolved once at construction, hot paths only null-check.
+  /// Private registry when ThreadPoolOptions::metrics is null.
+  std::unique_ptr<MetricsRegistry> own_metrics_;
+  /// Instrumentation handles, resolved once at construction.
   Counter* tasks_run_total_ = nullptr;
   Counter* tasks_cancelled_total_ = nullptr;
   Histogram* queue_wait_ms_ = nullptr;

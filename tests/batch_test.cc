@@ -44,6 +44,7 @@
 #include "tensor/checkpoint.h"
 #include "tensor/score_kernel.h"
 #include "tensor/tensor.h"
+#include "tests/temp_path.h"
 #include "train/online_updater.h"
 #include "util/fault_injector.h"
 #include "util/status.h"
@@ -51,10 +52,6 @@
 
 namespace imcat {
 namespace {
-
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + name;
-}
 
 // Deterministic factor matrices; same generator as the serving suites so
 // scores are irregular but reproducible.
@@ -71,7 +68,7 @@ Tensor MakeTable(int64_t rows, int64_t cols, float scale) {
 
 std::string WriteSnapshot(const char* name, int64_t num_users,
                           int64_t num_items, int64_t dim) {
-  const std::string path = TempPath(name);
+  const std::string path = TestTempPath(name);
   std::vector<Tensor> tensors;
   tensors.push_back(MakeTable(num_users, dim, 0.25f));
   tensors.push_back(MakeTable(num_items, dim, -0.5f));
@@ -353,7 +350,7 @@ TEST_F(BatchTest, TopKBatchMatchesScalarAcrossShapesAndBatchSizes) {
 
 TEST_F(BatchTest, TopKBatchQuarantineSkipsMatchScalar) {
   constexpr int64_t kUsers = 10, kItems = 30, kDim = 4;
-  const std::string path = TempPath("batch_quarantine.snap");
+  const std::string path = TestTempPath("batch_quarantine.snap");
   ShardedSnapshotOptions snapshot_options;
   snapshot_options.items_per_shard = 8;  // Shards [0,8) [8,16) [16,24) [24,30).
   ASSERT_TRUE(WriteShardedSnapshot(path, MakeTable(kUsers, kDim, 0.25f),
@@ -486,7 +483,7 @@ constexpr int64_t kSvcItems = 96;
 constexpr int64_t kSvcDim = 8;
 
 std::string WriteServiceSnapshot(const char* name, int64_t version = 1) {
-  const std::string path = TempPath(name);
+  const std::string path = TestTempPath(name);
   ShardedSnapshotOptions options;
   options.items_per_shard = 16;
   options.version = version;
@@ -708,7 +705,7 @@ TEST_F(BatchTest, AccountingIdentityExactWithBatchingUnderPublishChurn) {
     }
     ASSERT_TRUE(updater->AddInteractions(batch).ok());
     ASSERT_TRUE(updater->ApplyPending().ok());
-    const std::string delta_path = TempPath(
+    const std::string delta_path = TestTempPath(
         ("batch_chaos_" + std::to_string(round) + ".delta").c_str());
     ASSERT_TRUE(updater->PublishDelta(delta_path).ok());
     Status load = service.LoadDelta(delta_path);

@@ -10,15 +10,12 @@
 #include "models/bprmf.h"
 #include "models/backbone.h"
 #include "tensor/init.h"
+#include "tests/temp_path.h"
 #include "util/fault_injector.h"
 #include "util/rng.h"
 
 namespace imcat {
 namespace {
-
-std::string TempPath(const char* name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 std::vector<Tensor> RandomTensors(Rng* rng) {
   std::vector<Tensor> tensors;
@@ -77,7 +74,7 @@ TrainState ExampleState() {
 TEST(CheckpointTest, SaveLoadRoundTrip) {
   Rng rng(3);
   std::vector<Tensor> original = RandomTensors(&rng);
-  const std::string path = TempPath("roundtrip.ckpt");
+  const std::string path = TestTempPath("roundtrip.ckpt");
   ASSERT_TRUE(SaveCheckpoint(path, original).ok());
 
   Rng rng2(99);
@@ -94,7 +91,7 @@ TEST(CheckpointTest, SaveLoadRoundTrip) {
 TEST(CheckpointTest, ShapeMismatchRejected) {
   Rng rng(4);
   std::vector<Tensor> original = RandomTensors(&rng);
-  const std::string path = TempPath("shape.ckpt");
+  const std::string path = TestTempPath("shape.ckpt");
   ASSERT_TRUE(SaveCheckpoint(path, original).ok());
 
   std::vector<Tensor> wrong = {Tensor(4, 6, true), Tensor(2, 2, true),
@@ -107,7 +104,7 @@ TEST(CheckpointTest, ShapeMismatchRejected) {
 TEST(CheckpointTest, CountMismatchRejected) {
   Rng rng(5);
   std::vector<Tensor> original = RandomTensors(&rng);
-  const std::string path = TempPath("count.ckpt");
+  const std::string path = TestTempPath("count.ckpt");
   ASSERT_TRUE(SaveCheckpoint(path, original).ok());
   std::vector<Tensor> two = {Tensor(4, 6, true), Tensor(1, 1, true)};
   EXPECT_FALSE(LoadCheckpoint(path, &two).ok());
@@ -116,7 +113,7 @@ TEST(CheckpointTest, CountMismatchRejected) {
 TEST(CheckpointTest, CorruptionDetectedAndParametersUntouched) {
   Rng rng(6);
   std::vector<Tensor> original = RandomTensors(&rng);
-  const std::string path = TempPath("corrupt.ckpt");
+  const std::string path = TestTempPath("corrupt.ckpt");
   ASSERT_TRUE(SaveCheckpoint(path, original).ok());
   // Flip one byte in the middle of the file.
   {
@@ -141,7 +138,7 @@ TEST(CheckpointTest, CorruptionDetectedAndParametersUntouched) {
 }
 
 TEST(CheckpointTest, NotACheckpointRejected) {
-  const std::string path = TempPath("garbage.ckpt");
+  const std::string path = TestTempPath("garbage.ckpt");
   std::ofstream(path) << "hello world";
   std::vector<Tensor> t = {Tensor(1, 1, true)};
   Status status = LoadCheckpoint(path, &t);
@@ -159,7 +156,7 @@ TEST(CheckpointTest, MissingFileIsIoError) {
 TEST(CheckpointTest, ReadShapes) {
   Rng rng(8);
   std::vector<Tensor> original = RandomTensors(&rng);
-  const std::string path = TempPath("shapes.ckpt");
+  const std::string path = TestTempPath("shapes.ckpt");
   ASSERT_TRUE(SaveCheckpoint(path, original).ok());
   auto shapes = ReadCheckpointShapes(path);
   ASSERT_TRUE(shapes.ok());
@@ -186,7 +183,7 @@ TEST(CheckpointTest, ModelRoundTripPreservesScores) {
                    ds, split, AdamOptions{}, 64);
   Rng rng(9);
   for (int step = 0; step < 20; ++step) trained.TrainStep(&rng);
-  const std::string path = TempPath("model.ckpt");
+  const std::string path = TestTempPath("model.ckpt");
   ASSERT_TRUE(SaveCheckpoint(path, trained.Parameters()).ok());
 
   bopts.seed = 999;  // Different init; must not matter after load.
@@ -209,7 +206,7 @@ TEST(CheckpointTest, TrainStateRoundTrip) {
   Rng rng(31);
   std::vector<Tensor> original = RandomTensors(&rng);
   const TrainState saved = ExampleState();
-  const std::string path = TempPath("state.ckpt");
+  const std::string path = TestTempPath("state.ckpt");
   ASSERT_TRUE(SaveTrainingCheckpoint(path, original, saved).ok());
 
   Rng rng2(32);
@@ -248,7 +245,7 @@ TEST(CheckpointTest, TrainStateRoundTrip) {
 TEST(CheckpointTest, PlainSaveHasNoStateAndLegacyLoadIgnoresState) {
   Rng rng(33);
   std::vector<Tensor> tensors = RandomTensors(&rng);
-  const std::string plain = TempPath("plain.ckpt");
+  const std::string plain = TestTempPath("plain.ckpt");
   ASSERT_TRUE(SaveCheckpoint(plain, tensors).ok());
   TrainState state;
   bool has_state = true;
@@ -259,7 +256,7 @@ TEST(CheckpointTest, PlainSaveHasNoStateAndLegacyLoadIgnoresState) {
   EXPECT_FALSE(has_state);
 
   // And the tensors-only loader accepts a checkpoint that carries state.
-  const std::string full = TempPath("full.ckpt");
+  const std::string full = TestTempPath("full.ckpt");
   ASSERT_TRUE(SaveTrainingCheckpoint(full, tensors, ExampleState()).ok());
   Rng rng3(35);
   std::vector<Tensor> target2 = RandomTensors(&rng3);
@@ -269,7 +266,7 @@ TEST(CheckpointTest, PlainSaveHasNoStateAndLegacyLoadIgnoresState) {
 TEST(CheckpointTest, Version1FilesStillLoad) {
   // Hand-write a v1 checkpoint (no train-state byte) with one 1x2 tensor
   // and verify the v2 reader accepts it.
-  const std::string path = TempPath("v1.ckpt");
+  const std::string path = TestTempPath("v1.ckpt");
   std::vector<char> bytes;
   auto append = [&bytes](const void* data, size_t size) {
     const char* p = static_cast<const char*>(data);
@@ -306,7 +303,7 @@ TEST(CheckpointTest, Version1FilesStillLoad) {
 TEST(CheckpointTest, BadVersionRejected) {
   Rng rng(36);
   std::vector<Tensor> tensors = RandomTensors(&rng);
-  const std::string path = TempPath("badversion.ckpt");
+  const std::string path = TestTempPath("badversion.ckpt");
   ASSERT_TRUE(SaveCheckpoint(path, tensors).ok());
   FlipByteOnDisk(path, 4, 0x40);  // Version field starts at byte 4.
   Rng rng2(37);
@@ -326,14 +323,14 @@ TEST(CheckpointTest, BadVersionRejected) {
 TEST(CheckpointTest, TruncationAtEveryBoundaryRejected) {
   Rng rng(38);
   std::vector<Tensor> tensors = RandomTensors(&rng);
-  const std::string path = TempPath("trunc_src.ckpt");
+  const std::string path = TestTempPath("trunc_src.ckpt");
   ASSERT_TRUE(SaveTrainingCheckpoint(path, tensors, ExampleState()).ok());
   const std::vector<char> bytes = ReadAll(path);
   ASSERT_GT(bytes.size(), 0u);
 
   // Cut the file at a spread of lengths including 0, mid-header,
   // mid-payload and one-byte-short-of-complete.
-  const std::string cut = TempPath("trunc_cut.ckpt");
+  const std::string cut = TestTempPath("trunc_cut.ckpt");
   for (size_t len :
        {size_t{0}, size_t{3}, size_t{7}, size_t{15}, size_t{40},
         bytes.size() / 2, bytes.size() - 9, bytes.size() - 1}) {
@@ -356,12 +353,12 @@ TEST(CheckpointTest, TruncationAtEveryByteRejected) {
   // parser state accepts a prefix; scripts/check.sh re-runs it under
   // ASan/UBSan so a truncated length can also never read out of bounds.
   std::vector<Tensor> tensors = {Tensor(1, 2, {0.5f, -1.0f}, true)};
-  const std::string path = TempPath("trunc_every_src.ckpt");
+  const std::string path = TestTempPath("trunc_every_src.ckpt");
   ASSERT_TRUE(SaveTrainingCheckpoint(path, tensors, ExampleState()).ok());
   const std::vector<char> bytes = ReadAll(path);
   ASSERT_GT(bytes.size(), 0u);
 
-  const std::string cut = TempPath("trunc_every_cut.ckpt");
+  const std::string cut = TestTempPath("trunc_every_cut.ckpt");
   for (size_t len = 0; len < bytes.size(); ++len) {
     std::ofstream(cut, std::ios::binary | std::ios::trunc)
         .write(bytes.data(), static_cast<std::streamsize>(len));
@@ -382,10 +379,10 @@ TEST(CheckpointTest, BitFlipInEveryByteRejected) {
   // and checksum) and require a clean non-OK Status each time.
   std::vector<Tensor> tensors = {Tensor(1, 2, {0.5f, -1.0f}, true)};
   TrainState state = ExampleState();
-  const std::string path = TempPath("flip_src.ckpt");
+  const std::string path = TestTempPath("flip_src.ckpt");
   ASSERT_TRUE(SaveTrainingCheckpoint(path, tensors, state).ok());
   const std::vector<char> bytes = ReadAll(path);
-  const std::string flipped = TempPath("flip_cur.ckpt");
+  const std::string flipped = TestTempPath("flip_cur.ckpt");
   for (size_t offset = 0; offset < bytes.size(); ++offset) {
     std::ofstream(flipped, std::ios::binary | std::ios::trunc)
         .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -404,7 +401,7 @@ TEST(CheckpointTest, BitFlipInEveryByteRejected) {
 TEST(CheckpointTest, ChecksumMismatchIsDataLoss) {
   Rng rng(40);
   std::vector<Tensor> tensors = RandomTensors(&rng);
-  const std::string path = TempPath("dataloss.ckpt");
+  const std::string path = TestTempPath("dataloss.ckpt");
   ASSERT_TRUE(SaveCheckpoint(path, tensors).ok());
   FlipByteOnDisk(path, 40, 0x7F);  // Mid-payload.
   Rng rng2(41);
@@ -422,7 +419,7 @@ TEST(CheckpointTest, ChecksumMismatchIsDataLoss) {
 TEST(CheckpointTest, FailedWritePreservesExistingCheckpoint) {
   Rng rng(42);
   std::vector<Tensor> good = RandomTensors(&rng);
-  const std::string path = TempPath("atomic.ckpt");
+  const std::string path = TestTempPath("atomic.ckpt");
   ASSERT_TRUE(SaveCheckpoint(path, good).ok());
   const std::vector<char> before = ReadAll(path);
 
@@ -453,7 +450,7 @@ TEST(CheckpointTest, ShortWriteProducesDetectablyCorruptFile) {
   // not crash it.
   Rng rng(45);
   std::vector<Tensor> tensors = RandomTensors(&rng);
-  const std::string path = TempPath("torn.ckpt");
+  const std::string path = TestTempPath("torn.ckpt");
   ASSERT_TRUE(SaveCheckpoint(path, tensors).ok());
   const int64_t full_size = FileSize(path);
 
@@ -474,7 +471,7 @@ TEST(CheckpointTest, ShortWriteProducesDetectablyCorruptFile) {
 TEST(CheckpointTest, InFlightBitFlipCaughtByChecksumOnLoad) {
   Rng rng(47);
   std::vector<Tensor> tensors = RandomTensors(&rng);
-  const std::string path = TempPath("flight.ckpt");
+  const std::string path = TestTempPath("flight.ckpt");
   FaultInjector::Instance().Reset();
   FaultInjector::Instance().ArmBitFlip(/*offset=*/50, /*mask=*/0x04);
   Status save_status = SaveCheckpoint(path, tensors);

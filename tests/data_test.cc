@@ -9,6 +9,7 @@
 #include "data/presets.h"
 #include "data/split.h"
 #include "data/synthetic.h"
+#include "tests/temp_path.h"
 
 namespace imcat {
 namespace {
@@ -135,8 +136,8 @@ TEST(SplitTest, DeterministicForSeed) {
 TEST(LoaderTest, RoundTripThroughTsv) {
   Dataset ds = SmallDataset(10, 15, 5);
   ds.item_tags = {{0, 0}};
-  const std::string ui = ::testing::TempDir() + "/ui.tsv";
-  const std::string it = ::testing::TempDir() + "/it.tsv";
+  const std::string ui = TestTempPath("ui.tsv");
+  const std::string it = TestTempPath("it.tsv");
   ASSERT_TRUE(SaveDatasetToTsv(ds, ui, it).ok());
   StatusOr<Dataset> loaded = LoadDatasetFromTsv(ui, it);
   ASSERT_TRUE(loaded.ok());
@@ -152,11 +153,11 @@ TEST(LoaderTest, MissingFileIsIoError) {
 }
 
 TEST(LoaderTest, MalformedLineIsInvalidArgument) {
-  const std::string ui = ::testing::TempDir() + "/bad_ui.tsv";
+  const std::string ui = TestTempPath("bad_ui.tsv");
   FILE* f = std::fopen(ui.c_str(), "w");
   std::fputs("1\t2\nnot-a-number\t3\n", f);
   std::fclose(f);
-  const std::string it = ::testing::TempDir() + "/bad_it.tsv";
+  const std::string it = TestTempPath("bad_it.tsv");
   f = std::fopen(it.c_str(), "w");
   std::fputs("", f);
   std::fclose(f);
@@ -166,11 +167,11 @@ TEST(LoaderTest, MalformedLineIsInvalidArgument) {
 }
 
 TEST(LoaderTest, CommentsAndBlankLinesSkipped) {
-  const std::string ui = ::testing::TempDir() + "/comment_ui.tsv";
+  const std::string ui = TestTempPath("comment_ui.tsv");
   FILE* f = std::fopen(ui.c_str(), "w");
   std::fputs("# header\n\n5 7\n5\t8\n", f);
   std::fclose(f);
-  const std::string it = ::testing::TempDir() + "/comment_it.tsv";
+  const std::string it = TestTempPath("comment_it.tsv");
   f = std::fopen(it.c_str(), "w");
   std::fputs("7 1\n", f);
   std::fclose(f);
@@ -182,12 +183,12 @@ TEST(LoaderTest, CommentsAndBlankLinesSkipped) {
 }
 
 TEST(LoaderTest, DegreeFilteringDropsSparseEntities) {
-  const std::string ui = ::testing::TempDir() + "/filter_ui.tsv";
+  const std::string ui = TestTempPath("filter_ui.tsv");
   FILE* f = std::fopen(ui.c_str(), "w");
   // User 1 has 3 interactions; user 2 has 1.
   std::fputs("1 10\n1 11\n1 12\n2 10\n", f);
   std::fclose(f);
-  const std::string it = ::testing::TempDir() + "/filter_it.tsv";
+  const std::string it = TestTempPath("filter_it.tsv");
   f = std::fopen(it.c_str(), "w");
   std::fputs("10 100\n", f);
   std::fclose(f);
@@ -200,11 +201,11 @@ TEST(LoaderTest, DegreeFilteringDropsSparseEntities) {
 }
 
 TEST(LoaderTest, NegativeIdRejectedWithLineNumber) {
-  const std::string ui = ::testing::TempDir() + "/neg_ui.tsv";
+  const std::string ui = TestTempPath("neg_ui.tsv");
   FILE* f = std::fopen(ui.c_str(), "w");
   std::fputs("1 10\n2 -7\n", f);
   std::fclose(f);
-  const std::string it = ::testing::TempDir() + "/neg_it.tsv";
+  const std::string it = TestTempPath("neg_it.tsv");
   f = std::fopen(it.c_str(), "w");
   std::fputs("", f);
   std::fclose(f);
@@ -217,11 +218,11 @@ TEST(LoaderTest, NegativeIdRejectedWithLineNumber) {
 }
 
 TEST(LoaderTest, OutOfRangeIdRejectedWithLineNumber) {
-  const std::string ui = ::testing::TempDir() + "/range_ui.tsv";
+  const std::string ui = TestTempPath("range_ui.tsv");
   FILE* f = std::fopen(ui.c_str(), "w");
   std::fputs("1 10\n", f);
   std::fclose(f);
-  const std::string it = ::testing::TempDir() + "/range_it.tsv";
+  const std::string it = TestTempPath("range_it.tsv");
   f = std::fopen(it.c_str(), "w");
   std::fputs("10 1\n10 99999999999999\n", f);
   std::fclose(f);
@@ -235,7 +236,7 @@ TEST(LoaderTest, OutOfRangeIdRejectedWithLineNumber) {
 }
 
 TEST(LoaderTest, InvalidOptionsRejected) {
-  const std::string ui = ::testing::TempDir() + "/opts_ui.tsv";
+  const std::string ui = TestTempPath("opts_ui.tsv");
   FILE* f = std::fopen(ui.c_str(), "w");
   std::fputs("1 10\n", f);
   std::fclose(f);
@@ -255,17 +256,17 @@ TEST(LoaderTest, SplitDeterministicUnderPermissiveDrops) {
   // Satellite guarantee: a permissive-mode load that quarantines corrupt
   // records yields the same dataset — and therefore bit-identical splits
   // for the same seed — as a clean file containing only the survivors.
-  const std::string clean_ui = ::testing::TempDir() + "/perm_clean_ui.tsv";
+  const std::string clean_ui = TestTempPath("perm_clean_ui.tsv");
   FILE* f = std::fopen(clean_ui.c_str(), "w");
   std::fputs("1 10\n1 11\n2 10\n2 12\n3 11\n3 12\n", f);
   std::fclose(f);
-  const std::string dirty_ui = ::testing::TempDir() + "/perm_dirty_ui.tsv";
+  const std::string dirty_ui = TestTempPath("perm_dirty_ui.tsv");
   f = std::fopen(dirty_ui.c_str(), "w");
   // Same records, interleaved with garbage that permissive mode drops.
   std::fputs(
       "1 10\nGARBAGE\n1 11\n2 10\nx -9\n2 12\n1 10\n3 11\n3 12\nq q q\n", f);
   std::fclose(f);
-  const std::string it = ::testing::TempDir() + "/perm_split_it.tsv";
+  const std::string it = TestTempPath("perm_split_it.tsv");
   f = std::fopen(it.c_str(), "w");
   std::fputs("10 100\n11 100\n12 101\n", f);
   std::fclose(f);

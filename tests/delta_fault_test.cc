@@ -41,6 +41,7 @@
 #include "serve/snapshot.h"
 #include "tensor/checkpoint.h"
 #include "tensor/tensor.h"
+#include "tests/temp_path.h"
 #include "train/online_updater.h"
 #include "util/fault_injector.h"
 #include "util/status.h"
@@ -54,10 +55,6 @@ constexpr int64_t kDim = 4;
 constexpr int64_t kIps = 8;  // Shards [0,8) [8,16) [16,24) [24,30).
 constexpr int64_t kShards = 4;
 constexpr int64_t kBaseVersion = 1;
-
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + name;
-}
 
 Tensor MakeTable(int64_t rows, int64_t cols, float scale) {
   std::vector<float> values(static_cast<size_t>(rows * cols));
@@ -74,7 +71,7 @@ Tensor UserTable() { return MakeTable(kUsers, kDim, 0.25f); }
 Tensor ItemTable() { return MakeTable(kItems, kDim, -0.5f); }
 
 std::string WriteBase(const char* name, int64_t version = kBaseVersion) {
-  const std::string path = TempPath(name);
+  const std::string path = TestTempPath(name);
   ShardedSnapshotOptions options;
   options.items_per_shard = kIps;
   options.version = version;
@@ -199,7 +196,7 @@ TEST_F(DeltaFaultTest, DeltaRoundTripCarriesOnlyChangedShards) {
   EXPECT_EQ(updater->pending_edges(), 0);
   EXPECT_EQ(updater->dirty_shard_count(), 2);
 
-  const std::string delta = TempPath("df_roundtrip.delta");
+  const std::string delta = TestTempPath("df_roundtrip.delta");
   ASSERT_TRUE(updater->PublishDelta(delta).ok());
   EXPECT_EQ(updater->published_version(), kBaseVersion + 1);
   EXPECT_EQ(updater->dirty_shard_count(), 0);
@@ -267,7 +264,7 @@ TEST_F(DeltaFaultTest, DeltaRoundTripCarriesOnlyChangedShards) {
 TEST_F(DeltaFaultTest, PublishDeltaRefusesWhenNothingChanged) {
   const std::string base = WriteBase("df_nothing_base.snap");
   auto updater = SeedUpdater(base);
-  Status status = updater->PublishDelta(TempPath("df_nothing.delta"));
+  Status status = updater->PublishDelta(TestTempPath("df_nothing.delta"));
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
   std::remove(base.c_str());
 }
@@ -276,7 +273,7 @@ TEST_F(DeltaFaultTest, PublishDeltaRefusesWhenNothingChanged) {
 // Base-version mismatch: stale / out-of-order / duplicate deltas
 
 TEST_F(DeltaFaultTest, StaleAndOutOfOrderDeltasAreRefusedNeverHalfApplied) {
-  const std::string journal_path = TempPath("df_order.journal");
+  const std::string journal_path = TestTempPath("df_order.journal");
   RunJournal journal(journal_path);
   MetricsRegistry metrics;
   RecService service(DeltaFallback(),
@@ -286,8 +283,8 @@ TEST_F(DeltaFaultTest, StaleAndOutOfOrderDeltasAreRefusedNeverHalfApplied) {
   EXPECT_EQ(service.snapshot()->version(), kBaseVersion);
 
   auto updater = SeedUpdater(base);
-  const std::string delta1 = TempPath("df_order_1.delta");
-  const std::string delta2 = TempPath("df_order_2.delta");
+  const std::string delta1 = TestTempPath("df_order_1.delta");
+  const std::string delta2 = TestTempPath("df_order_2.delta");
   ASSERT_TRUE(updater->AddInteractions({{1, 2}}).ok());
   ASSERT_TRUE(updater->ApplyPending().ok());
   ASSERT_TRUE(updater->PublishDelta(delta1).ok());  // Chains 1 -> 2.
@@ -330,7 +327,7 @@ TEST_F(DeltaFaultTest, StaleAndOutOfOrderDeltasAreRefusedNeverHalfApplied) {
 TEST_F(DeltaFaultTest, DeltaWithoutLiveSnapshotIsRefused) {
   MetricsRegistry metrics;
   RecService service(DeltaFallback(), DeltaServiceOptions(&metrics, nullptr));
-  const std::string delta = TempPath("df_nolive.delta");
+  const std::string delta = TestTempPath("df_nolive.delta");
   ASSERT_TRUE(WriteDeltaSnapshot(delta, UserTable(), ItemTable(), {1},
                                  {kIps, kBaseVersion, kBaseVersion + 1})
                   .ok());
@@ -344,13 +341,13 @@ TEST_F(DeltaFaultTest, DeltaWithoutLiveSnapshotIsRefused) {
 // Per-shard delta corruption: stale containment on covered ranges
 
 TEST_F(DeltaFaultTest, CorruptDeltaShardKeepsOldRowsAndServesStale) {
-  const std::string journal_path = TempPath("df_stale.journal");
+  const std::string journal_path = TestTempPath("df_stale.journal");
   RunJournal journal(journal_path);
   const std::string base = WriteBase("df_stale_base.snap");
   auto updater = SeedUpdater(base);
   ASSERT_TRUE(updater->AddInteractions({{1, 2}, {3, 17}}).ok());
   ASSERT_TRUE(updater->ApplyPending().ok());
-  const std::string delta = TempPath("df_stale.delta");
+  const std::string delta = TestTempPath("df_stale.delta");
   ASSERT_TRUE(updater->PublishDelta(delta).ok());
 
   // Corrupt the payload of changed shard 2 ([16, 24)); shard 0 stays good.
@@ -418,7 +415,7 @@ TEST_F(DeltaFaultTest, CorruptDeltaShardKeepsOldRowsAndServesStale) {
   // rows and the partial flag clears.
   ASSERT_TRUE(updater->AddInteractions({{4, 17}}).ok());
   ASSERT_TRUE(updater->ApplyPending().ok());
-  const std::string heal = TempPath("df_stale_heal.delta");
+  const std::string heal = TestTempPath("df_stale_heal.delta");
   ASSERT_TRUE(updater->PublishDelta(heal).ok());
   ASSERT_TRUE(service.LoadDelta(heal).ok());
   EXPECT_EQ(service.snapshot()->stale_count(), 0);
@@ -440,7 +437,7 @@ TEST_F(DeltaFaultTest, CorruptBrandNewShardQuarantinesExactlyThatShard) {
   ASSERT_TRUE(updater->AddInteractions({{0, 32}}).ok());
   ASSERT_TRUE(updater->ApplyPending().ok());
   EXPECT_EQ(updater->num_items(), 33);
-  const std::string delta = TempPath("df_newshard.delta");
+  const std::string delta = TestTempPath("df_newshard.delta");
   ASSERT_TRUE(updater->PublishDelta(delta).ok());
 
   auto manifest = ReadDeltaSnapshotManifest(delta);
@@ -499,7 +496,7 @@ TEST_F(DeltaFaultTest, EveryChangedShardCorruptRefusesTheDelta) {
   auto updater = SeedUpdater(base);
   ASSERT_TRUE(updater->AddInteractions({{1, 2}}).ok());
   ASSERT_TRUE(updater->ApplyPending().ok());
-  const std::string delta = TempPath("df_allbad.delta");
+  const std::string delta = TestTempPath("df_allbad.delta");
   ASSERT_TRUE(updater->PublishDelta(delta).ok());
   auto manifest = ReadDeltaSnapshotManifest(delta);
   ASSERT_TRUE(manifest.ok());
@@ -529,7 +526,7 @@ TEST_F(DeltaFaultTest, CorruptUserTableRefusesTheDelta) {
   auto updater = SeedUpdater(base);
   ASSERT_TRUE(updater->AddInteractions({{1, 2}}).ok());
   ASSERT_TRUE(updater->ApplyPending().ok());
-  const std::string delta = TempPath("df_usertab.delta");
+  const std::string delta = TestTempPath("df_usertab.delta");
   ASSERT_TRUE(updater->PublishDelta(delta).ok());
   auto manifest = ReadDeltaSnapshotManifest(delta);
   ASSERT_TRUE(manifest.ok());
@@ -555,7 +552,7 @@ TEST_F(DeltaFaultTest, TruncatedDeltaLeavesBaseServingAndRetryRecovers) {
   auto updater = SeedUpdater(base);
   ASSERT_TRUE(updater->AddInteractions({{1, 2}, {3, 17}}).ok());
   ASSERT_TRUE(updater->ApplyPending().ok());
-  const std::string delta = TempPath("df_trunc.delta");
+  const std::string delta = TestTempPath("df_trunc.delta");
   ASSERT_TRUE(updater->PublishDelta(delta).ok());
   const std::string intact = ReadFileBytes(delta);
   auto manifest = ReadDeltaSnapshotManifest(delta);
@@ -611,7 +608,7 @@ TEST_F(DeltaFaultTest, DeltaLagPastBudgetTripsStalenessWatchdog) {
 
   ASSERT_TRUE(updater->AddInteractions({{1, 2}}).ok());
   ASSERT_TRUE(updater->ApplyPending().ok());
-  const std::string delta = TempPath("df_lag.delta");
+  const std::string delta = TestTempPath("df_lag.delta");
   clock_ms->store(50.0);
   ASSERT_TRUE(updater->PublishDelta(delta).ok());
   ASSERT_TRUE(service.LoadDelta(delta).ok());
@@ -640,7 +637,7 @@ TEST_F(DeltaFaultTest, DeltaLagPastBudgetTripsStalenessWatchdog) {
   // The next delta publish restores real serving and resets the lag.
   ASSERT_TRUE(updater->AddInteractions({{2, 3}}).ok());
   ASSERT_TRUE(updater->ApplyPending().ok());
-  const std::string delta2 = TempPath("df_lag_2.delta");
+  const std::string delta2 = TestTempPath("df_lag_2.delta");
   ASSERT_TRUE(updater->PublishDelta(delta2).ok());
   ASSERT_TRUE(service.LoadDelta(delta2).ok());
   RecResponse recovered = service.Recommend(RangeReq(1, 5, 0, 0));
@@ -670,7 +667,7 @@ TEST_F(DeltaFaultTest, ColdStartUserGetsNonPopularityRecommendations) {
   ASSERT_TRUE(updater->ApplyPending().ok());
   EXPECT_EQ(updater->num_users(), kUsers + 1);
   EXPECT_EQ(updater->num_items(), kItems + 1);
-  const std::string delta = TempPath("df_cold.delta");
+  const std::string delta = TestTempPath("df_cold.delta");
   ASSERT_TRUE(updater->PublishDelta(delta).ok());
 
   MetricsRegistry metrics;
@@ -727,8 +724,8 @@ TEST_F(DeltaFaultTest, ColdStartUserGetsNonPopularityRecommendations) {
 
 TEST_F(DeltaFaultTest, IngestFileAccountingInvariantHoldsAcrossBatches) {
   const std::string base = WriteBase("df_ingest_base.snap");
-  const std::string batch1 = TempPath("df_ingest_1.tsv");
-  const std::string batch2 = TempPath("df_ingest_2.tsv");
+  const std::string batch1 = TestTempPath("df_ingest_1.tsv");
+  const std::string batch2 = TestTempPath("df_ingest_2.tsv");
   {
     std::ofstream out(batch1);
     out << "1\t2\n"
@@ -799,7 +796,7 @@ TEST_F(DeltaFaultTest, UpdaterRefusesQuarantinedSeedAndGarbageCheckpoints) {
   EXPECT_EQ(quarantined.status().code(), StatusCode::kFailedPrecondition);
 
   // A checkpoint that is not an updater checkpoint fails cleanly.
-  const std::string ckpt = TempPath("df_refuse.ckpt");
+  const std::string ckpt = TestTempPath("df_refuse.ckpt");
   std::vector<Tensor> tensors = {UserTable(), ItemTable()};
   ASSERT_TRUE(SaveCheckpoint(ckpt, tensors).ok());
   auto restored = OnlineUpdater::FromCheckpoint(ckpt, {});
@@ -822,10 +819,10 @@ TEST_F(DeltaFaultTest, KillAndResumePublishesBitIdenticalDeltas) {
   ASSERT_TRUE(a->AddInteractions({{1, 2}, {3, 17}, {kUsers, 5}}).ok());
   ASSERT_TRUE(a->ApplyPending().ok());
   ASSERT_TRUE(a->AddInteractions({{4, 11}, {2, kItems}}).ok());
-  const std::string ckpt = TempPath("df_resume.ckpt");
+  const std::string ckpt = TestTempPath("df_resume.ckpt");
   ASSERT_TRUE(a->Checkpoint(ckpt).ok());
   ASSERT_TRUE(a->ApplyPending().ok());
-  const std::string delta_a = TempPath("df_resume_a.delta");
+  const std::string delta_a = TestTempPath("df_resume_a.delta");
   ASSERT_TRUE(a->PublishDelta(delta_a).ok());
 
   // Updater B resumes from the checkpoint and repeats the tail of the
@@ -837,14 +834,14 @@ TEST_F(DeltaFaultTest, KillAndResumePublishesBitIdenticalDeltas) {
   EXPECT_EQ(b->published_version(), kBaseVersion);
   EXPECT_EQ(b->num_users(), a->num_users());
   ASSERT_TRUE(b->ApplyPending().ok());
-  const std::string delta_b = TempPath("df_resume_b.delta");
+  const std::string delta_b = TestTempPath("df_resume_b.delta");
   ASSERT_TRUE(b->PublishDelta(delta_b).ok());
   EXPECT_EQ(ReadFileBytes(delta_a), ReadFileBytes(delta_b));
 
   // Post-publish checkpoints agree too — the full state converged, not
   // just the published bytes.
-  const std::string ckpt_a = TempPath("df_resume_a.ckpt");
-  const std::string ckpt_b = TempPath("df_resume_b.ckpt");
+  const std::string ckpt_a = TestTempPath("df_resume_a.ckpt");
+  const std::string ckpt_b = TestTempPath("df_resume_b.ckpt");
   ASSERT_TRUE(a->Checkpoint(ckpt_a).ok());
   ASSERT_TRUE(b->Checkpoint(ckpt_b).ok());
   EXPECT_EQ(ReadFileBytes(ckpt_a), ReadFileBytes(ckpt_b));

@@ -19,6 +19,7 @@
 #include "models/backbone.h"
 #include "models/bprmf.h"
 #include "tensor/checkpoint.h"
+#include "tests/temp_path.h"
 #include "train/trainer.h"
 #include "util/fault_injector.h"
 #include "util/status.h"
@@ -26,10 +27,6 @@
 
 namespace imcat {
 namespace {
-
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + name;
-}
 
 /// Small-but-real training setup: BPR-MF on synthetic interactions.
 struct BprFixture {
@@ -171,7 +168,7 @@ TEST_F(FaultToleranceTest, KillAndResumeMatchesUninterruptedRun) {
 
   // Interrupted: run 3 epochs with checkpointing, "kill" the process by
   // dropping the model, then resume into a fresh model for epochs 4-6.
-  const std::string ckpt = TempPath("kill_resume.ckpt");
+  const std::string ckpt = TestTempPath("kill_resume.ckpt");
   std::remove(ckpt.c_str());
   {
     auto first_leg = fx.MakeModel();
@@ -236,7 +233,7 @@ TEST_F(FaultToleranceTest, ParallelSamplerKillAndResumeMatchesUninterrupted) {
   ASSERT_TRUE(full.status.ok()) << full.status.ToString();
 
   // Interrupted: 3 epochs on the 2-thread pool, kill, resume on 8 threads.
-  const std::string ckpt = TempPath("parallel_kill_resume.ckpt");
+  const std::string ckpt = TestTempPath("parallel_kill_resume.ckpt");
   std::remove(ckpt.c_str());
   {
     auto first_leg = fx.MakeModel();
@@ -277,7 +274,7 @@ TEST_F(FaultToleranceTest, MissingResumeFileStartsFresh) {
   auto model = fx.MakeModel();
   TrainerOptions options = BaseOptions();
   options.max_epochs = 2;
-  options.resume_path = TempPath("never_written.ckpt");
+  options.resume_path = TestTempPath("never_written.ckpt");
   std::remove(options.resume_path.c_str());
   TrainHistory history = trainer.Fit(model.get(), options);
   EXPECT_TRUE(history.status.ok());
@@ -288,7 +285,7 @@ TEST_F(FaultToleranceTest, MissingResumeFileStartsFresh) {
 TEST_F(FaultToleranceTest, CorruptResumeFileFailsWithStatus) {
   BprFixture fx;
   Trainer trainer(fx.evaluator.get(), &fx.split);
-  const std::string path = TempPath("corrupt_resume.ckpt");
+  const std::string path = TestTempPath("corrupt_resume.ckpt");
   std::ofstream(path, std::ios::binary) << "this is not a checkpoint";
   auto model = fx.MakeModel();
   TrainerOptions options = BaseOptions();
@@ -381,7 +378,7 @@ TEST_F(FaultToleranceTest, FailedPeriodicCheckpointDoesNotKillTheRun) {
   BprFixture fx;
   Trainer trainer(fx.evaluator.get(), &fx.split);
   auto model = fx.MakeModel();
-  const std::string ckpt = TempPath("flaky_disk.ckpt");
+  const std::string ckpt = TestTempPath("flaky_disk.ckpt");
   std::remove(ckpt.c_str());
   TrainerOptions options = BaseOptions();
   options.max_epochs = 3;
@@ -416,7 +413,7 @@ std::string ReadFileBytes(const std::string& path) {
 }
 
 TEST_F(FaultToleranceTest, ReadBitFlipCorruptsArmedLoadsOnly) {
-  const std::string path = TempPath("read_flip.ckpt");
+  const std::string path = TestTempPath("read_flip.ckpt");
   std::vector<Tensor> saved = {Tensor(2, 3, {1, 2, 3, 4, 5, 6})};
   ASSERT_TRUE(SaveCheckpoint(path, saved).ok());
 
@@ -443,7 +440,7 @@ TEST_F(FaultToleranceTest, ReadBitFlipCorruptsArmedLoadsOnly) {
 }
 
 TEST_F(FaultToleranceTest, ReadBitFlipLeavesTheFileOnDiskIntact) {
-  const std::string path = TempPath("read_flip_intact.ckpt");
+  const std::string path = TestTempPath("read_flip_intact.ckpt");
   std::vector<Tensor> saved = {Tensor(1, 4, {9, 8, 7, 6})};
   ASSERT_TRUE(SaveCheckpoint(path, saved).ok());
   const std::string before = ReadFileBytes(path);

@@ -17,13 +17,14 @@
 
 #include "data/ingest.h"
 #include "data/loader.h"
+#include "tests/temp_path.h"
 #include "util/fault_injector.h"
 
 namespace imcat {
 namespace {
 
 std::string WriteFile(const std::string& name, const std::string& content) {
-  const std::string path = ::testing::TempDir() + "/" + name;
+  const std::string path = TestTempPath(name);
   std::FILE* f = std::fopen(path.c_str(), "wb");
   EXPECT_NE(f, nullptr);
   if (!content.empty()) {
@@ -48,8 +49,8 @@ Corpus MakeCorpus() {
   ds.num_tags = 2;
   ds.interactions = {{0, 0}, {0, 1}, {1, 1}, {1, 2}, {2, 3}};
   ds.item_tags = {{0, 0}, {1, 0}, {2, 1}, {3, 1}};
-  const std::string ui_path = ::testing::TempDir() + "/fuzz_seed_ui.tsv";
-  const std::string it_path = ::testing::TempDir() + "/fuzz_seed_it.tsv";
+  const std::string ui_path = TestTempPath("fuzz_seed_ui.tsv");
+  const std::string it_path = TestTempPath("fuzz_seed_it.tsv");
   Status st = SaveDatasetToTsv(ds, ui_path, it_path);
   EXPECT_TRUE(st.ok()) << st.ToString();
   auto slurp = [](const std::string& path) {

@@ -11,13 +11,14 @@
 #include <gtest/gtest.h>
 
 #include "data/loader.h"
+#include "tests/temp_path.h"
 #include "util/fault_injector.h"
 
 namespace imcat {
 namespace {
 
 std::string WriteFile(const std::string& name, const std::string& content) {
-  const std::string path = ::testing::TempDir() + "/" + name;
+  const std::string path = TestTempPath(name);
   std::FILE* f = std::fopen(path.c_str(), "wb");
   EXPECT_NE(f, nullptr);
   if (!content.empty()) {
@@ -392,8 +393,8 @@ TEST(LoaderHardeningTest, SaveIsAtomicUnderInjectedWriteFailure) {
   ds.num_tags = 1;
   ds.interactions = {{0, 0}, {0, 1}, {1, 2}};
   ds.item_tags = {{0, 0}};
-  const std::string ui = ::testing::TempDir() + "/lh_atomic_ui.tsv";
-  const std::string it = ::testing::TempDir() + "/lh_atomic_it.tsv";
+  const std::string ui = TestTempPath("lh_atomic_ui.tsv");
+  const std::string it = TestTempPath("lh_atomic_it.tsv");
   ASSERT_TRUE(SaveDatasetToTsv(ds, ui, it).ok());
   const std::string ui_before = ReadFileBytes(ui);
   ASSERT_FALSE(ui_before.empty());

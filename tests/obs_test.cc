@@ -27,6 +27,7 @@
 #include "serve/rec_service.h"
 #include "tensor/checkpoint.h"
 #include "tensor/tensor.h"
+#include "tests/temp_path.h"
 #include "train/trainer.h"
 #include "util/fault_injector.h"
 #include "util/rng.h"
@@ -35,10 +36,6 @@
 
 namespace imcat {
 namespace {
-
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + name;
-}
 
 /// Deterministic positive test values spanning several orders of
 /// magnitude (the regime of real latency distributions).
@@ -281,8 +278,8 @@ TEST(ExporterTest, JsonDumpContainsEveryMetric) {
 TEST(ExporterTest, WriteMetricsFilePicksFormatByExtension) {
   MetricsRegistry registry;
   registry.GetCounter("x_total")->Add(1);
-  const std::string prom_path = TempPath("obs_metrics.prom");
-  const std::string json_path = TempPath("obs_metrics.json");
+  const std::string prom_path = TestTempPath("obs_metrics.prom");
+  const std::string json_path = TestTempPath("obs_metrics.json");
   ASSERT_TRUE(WriteMetricsFile(registry, prom_path).ok());
   ASSERT_TRUE(WriteMetricsFile(registry, json_path).ok());
   std::stringstream prom, json;
@@ -306,7 +303,7 @@ std::vector<std::string> ReadLines(const std::string& path) {
 }
 
 TEST(JournalTest, AppendsValidJsonlWithSequenceNumbers) {
-  const std::string path = TempPath("obs_journal_basic.jsonl");
+  const std::string path = TestTempPath("obs_journal_basic.jsonl");
   std::remove(path.c_str());
   {
     RunJournal journal(path);
@@ -333,7 +330,7 @@ TEST(JournalTest, AppendsValidJsonlWithSequenceNumbers) {
 }
 
 TEST(JournalTest, AutoFlushEveryNAppends) {
-  const std::string path = TempPath("obs_journal_autoflush.jsonl");
+  const std::string path = TestTempPath("obs_journal_autoflush.jsonl");
   std::remove(path.c_str());
   RunJournal::Options options;
   options.flush_every = 3;
@@ -352,7 +349,7 @@ TEST(JournalTest, InjectedWriteFaultLeavesPreviousJournalIntact) {
   // JSONL on disk — never a torn file — and the buffered events must
   // survive for the next flush.
   FaultInjector::Instance().Reset();
-  const std::string path = TempPath("obs_journal_atomic.jsonl");
+  const std::string path = TestTempPath("obs_journal_atomic.jsonl");
   std::remove(path.c_str());
 
   RunJournal::Options options;
@@ -480,7 +477,7 @@ Tensor ServeTable(int64_t rows, int64_t cols, float scale) {
 
 TEST(ServiceMetricsTest, RequestAccountingIdentityHoldsAfterResolution) {
   constexpr int64_t kUsers = 12, kItems = 30, kDim = 4;
-  const std::string path = TempPath("obs_service_snapshot.ckpt");
+  const std::string path = TestTempPath("obs_service_snapshot.ckpt");
   {
     std::vector<Tensor> tensors;
     tensors.push_back(ServeTable(kUsers, kDim, 0.25f));
@@ -492,7 +489,7 @@ TEST(ServiceMetricsTest, RequestAccountingIdentityHoldsAfterResolution) {
   auto fallback = std::make_shared<PopularityRanker>(kItems, train);
 
   MetricsRegistry registry;
-  RunJournal journal(TempPath("obs_service_journal.jsonl"));
+  RunJournal journal(TestTempPath("obs_service_journal.jsonl"));
   RecServiceOptions options;
   options.num_workers = 2;
   options.queue_capacity = 8;
@@ -517,7 +514,7 @@ TEST(ServiceMetricsTest, RequestAccountingIdentityHoldsAfterResolution) {
     RecRequest invalid;
     invalid.user = -4;
     EXPECT_FALSE(service.Recommend(invalid).status.ok());
-    EXPECT_FALSE(service.LoadSnapshot(TempPath("missing.ckpt")).ok());
+    EXPECT_FALSE(service.LoadSnapshot(TestTempPath("missing.ckpt")).ok());
   }  // Shutdown resolves everything before the registry is read.
 
   MetricsSnapshot snapshot = registry.Snapshot();
@@ -593,8 +590,8 @@ TEST(TrainerMetricsTest, FitMaintainsMetricsJournalAndDumpsSnapshot) {
 
   MetricsRegistry registry;
   evaluator.set_metrics(&registry);
-  const std::string journal_path = TempPath("obs_trainer_journal.jsonl");
-  const std::string metrics_path = TempPath("obs_trainer_metrics.json");
+  const std::string journal_path = TestTempPath("obs_trainer_journal.jsonl");
+  const std::string metrics_path = TestTempPath("obs_trainer_metrics.json");
   std::remove(journal_path.c_str());
   RunJournal journal(journal_path);
 

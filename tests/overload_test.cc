@@ -38,6 +38,7 @@
 #include "serve/shard_format.h"
 #include "tensor/checkpoint.h"
 #include "tensor/tensor.h"
+#include "tests/temp_path.h"
 #include "train/online_updater.h"
 #include "util/fault_injector.h"
 #include "util/status.h"
@@ -48,10 +49,6 @@ namespace {
 constexpr int64_t kNumUsers = 32;
 constexpr int64_t kNumItems = 96;
 constexpr int64_t kDim = 8;
-
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + name;
-}
 
 Tensor MakeTable(int64_t rows, int64_t cols, float scale) {
   std::vector<float> values(static_cast<size_t>(rows * cols));
@@ -296,7 +293,7 @@ TEST_F(OverloadTest, ScriptedTraceIsBitIdenticalAcrossRuns) {
 // ---------------------------------------------------------------------------
 
 TEST_F(OverloadTest, MeasuredQueueWaitIsThreadedIntoResponses) {
-  const std::string path = TempPath("overload_wait_snapshot.ckpt");
+  const std::string path = TestTempPath("overload_wait_snapshot.ckpt");
   WriteV2Snapshot(path, 0.125f);
 
   MetricsRegistry metrics;
@@ -325,7 +322,7 @@ TEST_F(OverloadTest, MeasuredQueueWaitIsThreadedIntoResponses) {
 }
 
 TEST_F(OverloadTest, RequestExpiredInQueueIsRefusedNotScored) {
-  const std::string path = TempPath("overload_expired_snapshot.ckpt");
+  const std::string path = TestTempPath("overload_expired_snapshot.ckpt");
   WriteV2Snapshot(path, 0.125f);
 
   // The service clock is a fake the test advances by hand; the worker is
@@ -376,7 +373,7 @@ TEST_F(OverloadTest, RequestExpiredInQueueIsRefusedNotScored) {
 }
 
 TEST_F(OverloadTest, PredictedLateShedAtAdmissionAfterMeasuredWait) {
-  const std::string path = TempPath("overload_predicted_snapshot.ckpt");
+  const std::string path = TestTempPath("overload_predicted_snapshot.ckpt");
   WriteV2Snapshot(path, 0.125f);
 
   auto clock = std::make_shared<std::atomic<double>>(0.0);
@@ -533,11 +530,11 @@ LadderRunResult RunLadderScript(int64_t num_workers,
 }
 
 TEST_F(OverloadTest, LadderTransitionsBitIdenticalAcrossWorkerCounts) {
-  const std::string path = TempPath("overload_ladder_snapshot.ckpt");
+  const std::string path = TestTempPath("overload_ladder_snapshot.ckpt");
   WriteV2Snapshot(path, 0.125f);
 
-  const std::string journal_one = TempPath("overload_ladder_w1.jsonl");
-  const std::string journal_four = TempPath("overload_ladder_w4.jsonl");
+  const std::string journal_one = TestTempPath("overload_ladder_w1.jsonl");
+  const std::string journal_four = TestTempPath("overload_ladder_w4.jsonl");
   LadderRunResult one = RunLadderScript(1, path, journal_one);
   LadderRunResult four = RunLadderScript(4, path, journal_four);
 
@@ -561,7 +558,7 @@ TEST_F(OverloadTest, LadderTransitionsBitIdenticalAcrossWorkerCounts) {
 }
 
 TEST_F(OverloadTest, BrownoutLevelTwoServesBatchFromPopularityFallback) {
-  const std::string path = TempPath("overload_brownout_snapshot.ckpt");
+  const std::string path = TestTempPath("overload_brownout_snapshot.ckpt");
   WriteV2Snapshot(path, 0.125f);
 
   // Drive the ladder to max_level with the same auto-advancing clock as
@@ -636,7 +633,7 @@ TEST_F(OverloadTest, BrownoutLevelTwoServesBatchFromPopularityFallback) {
 // ---------------------------------------------------------------------------
 
 TEST_F(OverloadTest, AccountingIdentityExactUnderOverloadWithPublishChurn) {
-  const std::string base_path = TempPath("overload_chaos_base.snap");
+  const std::string base_path = TestTempPath("overload_chaos_base.snap");
   {
     Tensor users = MakeTable(kNumUsers, kDim, 0.125f);
     Tensor items = MakeTable(kNumItems, kDim, -0.125f);
@@ -713,7 +710,7 @@ TEST_F(OverloadTest, AccountingIdentityExactUnderOverloadWithPublishChurn) {
     }
     ASSERT_TRUE(updater->AddInteractions(batch).ok());
     ASSERT_TRUE(updater->ApplyPending().ok());
-    const std::string delta_path = TempPath(
+    const std::string delta_path = TestTempPath(
         ("overload_chaos_" + std::to_string(round) + ".delta").c_str());
     ASSERT_TRUE(updater->PublishDelta(delta_path).ok());
     Status load = service.LoadDelta(delta_path);

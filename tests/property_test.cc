@@ -13,6 +13,7 @@
 #include "data/synthetic.h"
 #include "eval/evaluator.h"
 #include "eval/group_eval.h"
+#include "tests/temp_path.h"
 
 namespace imcat {
 namespace {
@@ -179,8 +180,8 @@ TEST_P(RandomInstanceTest, TsvRoundTripIsLosslessUpToRelabeling) {
   // fixed point — a second Save -> Load reproduces the dataset exactly.
   Dataset ds = GenerateSynthetic(RandomConfig(GetParam()));
   const std::string tag = std::to_string(GetParam());
-  const std::string ui = ::testing::TempDir() + "/prop_rt_ui_" + tag + ".tsv";
-  const std::string it = ::testing::TempDir() + "/prop_rt_it_" + tag + ".tsv";
+  const std::string ui = TestTempPath("prop_rt_ui_" + tag + ".tsv");
+  const std::string it = TestTempPath("prop_rt_it_" + tag + ".tsv");
 
   ASSERT_TRUE(SaveDatasetToTsv(ds, ui, it).ok());
   StatusOr<Dataset> first = LoadDatasetFromTsv(ui, it);

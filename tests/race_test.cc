@@ -32,6 +32,7 @@
 #include "serve/shard_format.h"
 #include "tensor/checkpoint.h"
 #include "tensor/tensor.h"
+#include "tests/temp_path.h"
 #include "train/online_updater.h"
 #include "util/fault_injector.h"
 #include "util/status.h"
@@ -43,10 +44,6 @@ namespace {
 constexpr int64_t kNumUsers = 24;
 constexpr int64_t kNumItems = 80;
 constexpr int64_t kDim = 8;
-
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + name;
-}
 
 Tensor MakeTable(int64_t rows, int64_t cols, float scale) {
   std::vector<float> values(static_cast<size_t>(rows * cols));
@@ -77,9 +74,10 @@ std::shared_ptr<const PopularityRanker> RaceFallback() {
   return std::make_shared<PopularityRanker>(kNumItems, train);
 }
 
-RecServiceOptions RaceOptions() {
+RecServiceOptions RaceOptions(int64_t max_batch_size) {
   RecServiceOptions options;
   options.num_workers = 3;
+  options.max_batch_size = max_batch_size;
   options.queue_capacity = 8;
   options.default_top_k = 5;
   options.default_deadline_ms = -1.0;  // No deadline: schedules stay racy,
@@ -115,48 +113,52 @@ class RaceTest : public ::testing::Test {
 // shed, or cancelled-by-shutdown — and the service's own counters must
 // account for every admission decision.
 TEST_F(RaceTest, RecommendRacingShutdownResolvesEveryFuture) {
-  const std::string path = TempPath("race_shutdown_snapshot.ckpt");
+  const std::string path = TestTempPath("race_shutdown_snapshot.ckpt");
   WriteSnapshot(path, 0.125f);
 
-  RecService service(RaceFallback(), RaceOptions());
-  ASSERT_TRUE(service.LoadSnapshot(path).ok());
+  // Batch size 1 drains one request per ticket; 8 coalesces followers.
+  for (const int64_t max_batch_size : {int64_t{1}, int64_t{8}}) {
+    SCOPED_TRACE("max_batch_size " + std::to_string(max_batch_size));
+    RecService service(RaceFallback(), RaceOptions(max_batch_size));
+    ASSERT_TRUE(service.LoadSnapshot(path).ok());
 
-  constexpr int kClients = 4;
-  constexpr int kPerClient = 200;
-  std::atomic<int64_t> resolved{0};
-  std::atomic<int64_t> indefinite{0};
-  std::atomic<bool> go{false};
-  std::vector<std::thread> clients;
-  clients.reserve(kClients);
-  for (int t = 0; t < kClients; ++t) {
-    clients.emplace_back([&service, &resolved, &indefinite, &go, t] {
-      while (!go.load()) std::this_thread::yield();
-      for (int i = 0; i < kPerClient; ++i) {
-        RecRequest request;
-        request.user = (t * kPerClient + i) % kNumUsers;
-        std::future<RecResponse> future = service.Submit(std::move(request));
-        RecResponse response = future.get();  // Must never hang.
-        ++resolved;
-        if (!IsDefinite(response)) ++indefinite;
-      }
-    });
+    constexpr int kClients = 4;
+    constexpr int kPerClient = 200;
+    std::atomic<int64_t> resolved{0};
+    std::atomic<int64_t> indefinite{0};
+    std::atomic<bool> go{false};
+    std::vector<std::thread> clients;
+    clients.reserve(kClients);
+    for (int t = 0; t < kClients; ++t) {
+      clients.emplace_back([&service, &resolved, &indefinite, &go, t] {
+        while (!go.load()) std::this_thread::yield();
+        for (int i = 0; i < kPerClient; ++i) {
+          RecRequest request;
+          request.user = (t * kPerClient + i) % kNumUsers;
+          std::future<RecResponse> future = service.Submit(std::move(request));
+          RecResponse response = future.get();  // Must never hang.
+          ++resolved;
+          if (!IsDefinite(response)) ++indefinite;
+        }
+      });
+    }
+    go = true;
+    // Shut down somewhere in the middle of the client stream.
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    service.Shutdown();
+    for (std::thread& c : clients) c.join();
+
+    EXPECT_EQ(resolved.load(), kClients * kPerClient);
+    EXPECT_EQ(indefinite.load(), 0);
+    // Counter consistency: every request was either admitted or shed.
+    const RecServiceStats stats = service.stats();
+    EXPECT_EQ(stats.accepted + stats.shed, kClients * kPerClient);
+    // Post-shutdown requests still resolve immediately, with kUnavailable.
+    RecRequest late;
+    late.user = 0;
+    RecResponse after = service.Recommend(std::move(late));
+    EXPECT_EQ(after.status.code(), StatusCode::kUnavailable);
   }
-  go = true;
-  // Shut down somewhere in the middle of the client stream.
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  service.Shutdown();
-  for (std::thread& c : clients) c.join();
-
-  EXPECT_EQ(resolved.load(), kClients * kPerClient);
-  EXPECT_EQ(indefinite.load(), 0);
-  // Counter consistency: every request was either admitted or shed.
-  const RecServiceStats stats = service.stats();
-  EXPECT_EQ(stats.accepted + stats.shed, kClients * kPerClient);
-  // Post-shutdown requests still resolve immediately, with kUnavailable.
-  RecRequest late;
-  late.user = 0;
-  RecResponse after = service.Recommend(std::move(late));
-  EXPECT_EQ(after.status.code(), StatusCode::kUnavailable);
 }
 
 // Tentpole stress: snapshot hot-reload racing scoring racing shutdown
@@ -166,14 +168,19 @@ TEST_F(RaceTest, RecommendRacingShutdownResolvesEveryFuture) {
 // request scores against is internally consistent (the locked shared_ptr
 // publish means a version is visible only fully published).
 TEST_F(RaceTest, SnapshotReloadRacingScoringRacingShutdownChurn) {
-  const std::string path_a = TempPath("race_churn_a.ckpt");
-  const std::string path_b = TempPath("race_churn_b.ckpt");
+  const std::string path_a = TestTempPath("race_churn_a.ckpt");
+  const std::string path_b = TestTempPath("race_churn_b.ckpt");
   WriteSnapshot(path_a, 0.125f);
   WriteSnapshot(path_b, 0.5f);
 
-  constexpr int kGenerations = 6;
+  // Even generations drain one request per ticket, odd ones coalesce up
+  // to 8; each batch size meets both the shutdown and the no-shutdown
+  // teardown.
+  constexpr int kGenerations = 8;
   for (int gen = 0; gen < kGenerations; ++gen) {
-    auto service = std::make_shared<RecService>(RaceFallback(), RaceOptions());
+    const int64_t max_batch_size = (gen / 2) % 2 == 0 ? 1 : 8;
+    auto service = std::make_shared<RecService>(RaceFallback(),
+                                                RaceOptions(max_batch_size));
     ASSERT_TRUE(service->LoadSnapshot(path_a).ok());
 
     std::atomic<bool> stop{false};
@@ -208,7 +215,8 @@ TEST_F(RaceTest, SnapshotReloadRacingScoringRacingShutdownChurn) {
     if (gen % 2 == 0) service->Shutdown();  // Shutdown races the load too.
     stop = true;
     for (std::thread& t : threads) t.join();
-    EXPECT_EQ(indefinite.load(), 0) << "generation " << gen;
+    EXPECT_EQ(indefinite.load(), 0)
+        << "generation " << gen << ", max_batch_size " << max_batch_size;
     service.reset();  // Destructor races nothing: all threads joined.
   }
 }
@@ -220,11 +228,11 @@ TEST_F(RaceTest, SnapshotReloadRacingScoringRacingShutdownChurn) {
 // internally monotone versus the previous one, and once every thread has
 // joined the full request-accounting identity must hold exactly.
 TEST_F(RaceTest, MetricsChurnStaysConsistentUnderConcurrentSnapshots) {
-  const std::string path = TempPath("race_metrics_snapshot.ckpt");
+  const std::string path = TestTempPath("race_metrics_snapshot.ckpt");
   WriteSnapshot(path, 0.25f);
 
   MetricsRegistry metrics;
-  RecServiceOptions options = RaceOptions();
+  RecServiceOptions options = RaceOptions(1);
   options.metrics = &metrics;
   auto service = std::make_shared<RecService>(RaceFallback(), options);
   ASSERT_TRUE(service->LoadSnapshot(path).ok());
@@ -426,7 +434,7 @@ TEST_F(RaceTest, PoolTeardownWithInFlightTasksResolvesEveryAdmittedTask) {
 // never degraded (every delta in the chain is valid), every publish
 // accepted, and the full request-accounting identity holds after join.
 TEST_F(RaceTest, UpdaterPublishingDeltasWhileServingStaysConsistent) {
-  const std::string base_path = TempPath("race_delta_base.snap");
+  const std::string base_path = TestTempPath("race_delta_base.snap");
   {
     Tensor users = MakeTable(kNumUsers, kDim, 0.125f);
     Tensor items = MakeTable(kNumItems, kDim, -0.125f);
@@ -438,7 +446,7 @@ TEST_F(RaceTest, UpdaterPublishingDeltasWhileServingStaysConsistent) {
   }
 
   MetricsRegistry metrics;
-  RecServiceOptions options = RaceOptions();
+  RecServiceOptions options = RaceOptions(1);
   options.metrics = &metrics;
   RecService service(RaceFallback(), options);
   ASSERT_TRUE(service.LoadSnapshot(base_path).ok());
@@ -479,7 +487,7 @@ TEST_F(RaceTest, UpdaterPublishingDeltasWhileServingStaysConsistent) {
     ASSERT_TRUE(updater->AddInteractions(batch).ok());
     ASSERT_TRUE(updater->ApplyPending().ok());
     const std::string delta_path =
-        TempPath(("race_delta_" + std::to_string(round) + ".delta").c_str());
+        TestTempPath(("race_delta_" + std::to_string(round) + ".delta").c_str());
     ASSERT_TRUE(updater->PublishDelta(delta_path).ok());
     Status load = service.LoadDelta(delta_path);
     ASSERT_TRUE(load.ok()) << "round " << round << ": " << load.ToString();
@@ -710,7 +718,7 @@ TEST_F(RaceTest, ScrapeRestartRacingInFlightHealthz) {
     provider_calls.fetch_add(1, std::memory_order_relaxed);
     return std::string("{\"status\":\"churning\"}");
   });
-  const std::string path = TempPath("race_scrape_restart.sock");
+  const std::string path = TestTempPath("race_scrape_restart.sock");
   ASSERT_TRUE(server.Start(path).ok());
 
   std::atomic<bool> stop{false};

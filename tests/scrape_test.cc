@@ -20,14 +20,11 @@
 #include "obs/metrics.h"
 #include "obs/scrape.h"
 #include "serve/rec_service.h"
+#include "tests/temp_path.h"
 #include "util/status.h"
 
 namespace imcat {
 namespace {
-
-std::string SocketPath(const char* name) {
-  return std::string(::testing::TempDir()) + name;
-}
 
 bool PathExists(const std::string& path) {
   struct stat st{};
@@ -68,7 +65,7 @@ TEST(ScrapeTest, GetMetricsServesPrometheusText) {
   registry.GetCounter("scrape_test_requests_total")->Add(7);
   registry.GetGauge("scrape_test_depth")->Set(3.5);
   MetricsScrapeServer server(&registry);
-  const std::string path = SocketPath("scrape_ok.sock");
+  const std::string path = TestTempPath("scrape_ok.sock");
   ASSERT_TRUE(server.Start(path).ok());
   EXPECT_TRUE(server.running());
 
@@ -91,7 +88,7 @@ TEST(ScrapeTest, GetMetricsServesPrometheusText) {
 TEST(ScrapeTest, UnknownPathAndNonGetAreRefused) {
   MetricsRegistry registry;
   MetricsScrapeServer server(&registry);
-  const std::string path = SocketPath("scrape_refuse.sock");
+  const std::string path = TestTempPath("scrape_refuse.sock");
   ASSERT_TRUE(server.Start(path).ok());
   EXPECT_NE(Scrape(path, "GET /health HTTP/1.0\r\n\r\n")
                 .find("HTTP/1.0 404 Not Found"),
@@ -108,7 +105,7 @@ TEST(ScrapeTest, HealthzIs404WithoutProviderAndJsonWithOne) {
   // Without a provider /healthz is just another unknown path.
   {
     MetricsScrapeServer server(&registry);
-    const std::string path = SocketPath("scrape_healthz_off.sock");
+    const std::string path = TestTempPath("scrape_healthz_off.sock");
     ASSERT_TRUE(server.Start(path).ok());
     EXPECT_NE(Scrape(path, "GET /healthz HTTP/1.0\r\n\r\n")
                   .find("HTTP/1.0 404 Not Found"),
@@ -121,7 +118,7 @@ TEST(ScrapeTest, HealthzIs404WithoutProviderAndJsonWithOne) {
   std::string status = "ok";
   server.set_health_provider(
       [&status] { return "{\"status\":\"" + status + "\"}"; });
-  const std::string path = SocketPath("scrape_healthz_on.sock");
+  const std::string path = TestTempPath("scrape_healthz_on.sock");
   ASSERT_TRUE(server.Start(path).ok());
   const std::string response = Scrape(path, "GET /healthz HTTP/1.0\r\n\r\n");
   EXPECT_NE(response.find("HTTP/1.0 200 OK"), std::string::npos) << response;
@@ -150,7 +147,7 @@ TEST(ScrapeTest, HealthzServesRecServiceHealthReport) {
 
   MetricsScrapeServer server(&registry);
   server.set_health_provider([&service] { return service.HealthJson(); });
-  const std::string path = SocketPath("scrape_healthz_svc.sock");
+  const std::string path = TestTempPath("scrape_healthz_svc.sock");
   ASSERT_TRUE(server.Start(path).ok());
   const std::string response = Scrape(path, "GET /healthz HTTP/1.0\r\n\r\n");
   EXPECT_NE(response.find("HTTP/1.0 200 OK"), std::string::npos) << response;
@@ -167,9 +164,9 @@ TEST(ScrapeTest, HealthzServesRecServiceHealthReport) {
 TEST(ScrapeTest, DoubleStartIsRefusedAndTooLongPathIsIoError) {
   MetricsRegistry registry;
   MetricsScrapeServer server(&registry);
-  const std::string path = SocketPath("scrape_double.sock");
+  const std::string path = TestTempPath("scrape_double.sock");
   ASSERT_TRUE(server.Start(path).ok());
-  const Status again = server.Start(SocketPath("scrape_other.sock"));
+  const Status again = server.Start(TestTempPath("scrape_other.sock"));
   EXPECT_EQ(again.code(), StatusCode::kFailedPrecondition);
   server.Stop();
 
@@ -183,7 +180,7 @@ TEST(ScrapeTest, StopUnlinksSocketAndServerRestartsOnSamePath) {
   MetricsRegistry registry;
   registry.GetCounter("scrape_restart_total")->Increment();
   MetricsScrapeServer server(&registry);
-  const std::string path = SocketPath("scrape_restart.sock");
+  const std::string path = TestTempPath("scrape_restart.sock");
   ASSERT_TRUE(server.Start(path).ok());
   EXPECT_TRUE(PathExists(path));
   server.Stop();
@@ -205,7 +202,7 @@ TEST(ScrapeTest, RedundantStopUnlinksOnlyItsOwnSocket) {
   MetricsRegistry registry;
   registry.GetCounter("scrape_owner_total")->Add(2);
   MetricsScrapeServer first(&registry);
-  const std::string path = SocketPath("scrape_once.sock");
+  const std::string path = TestTempPath("scrape_once.sock");
   ASSERT_TRUE(first.Start(path).ok());
   first.Stop();
   EXPECT_FALSE(PathExists(path));
@@ -236,7 +233,7 @@ TEST(ScrapeTest, StopDuringInFlightHealthzCompletesThenRestarts) {
     ::usleep(100 * 1000);  // Hold the request while Stop() races it.
     return std::string("{\"status\":\"slow_but_complete\"}");
   });
-  const std::string path = SocketPath("scrape_inflight.sock");
+  const std::string path = TestTempPath("scrape_inflight.sock");
   ASSERT_TRUE(server.Start(path).ok());
 
   std::string response;

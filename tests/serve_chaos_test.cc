@@ -27,6 +27,7 @@
 #include "serve/rec_service.h"
 #include "tensor/checkpoint.h"
 #include "tensor/tensor.h"
+#include "tests/temp_path.h"
 #include "util/fault_injector.h"
 #include "util/status.h"
 
@@ -37,10 +38,6 @@ constexpr int64_t kNumUsers = 40;
 constexpr int64_t kNumItems = 120;
 constexpr int64_t kDim = 8;
 constexpr int64_t kTopK = 10;
-
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + name;
-}
 
 RecRequest Req(int64_t user, double deadline_ms = 0.0) {
   RecRequest request;
@@ -86,7 +83,7 @@ class ServeChaosTest : public ::testing::Test {
 };
 
 TEST_F(ServeChaosTest, ConcurrentRequestsSurviveInjectedFaultsAndRecover) {
-  const std::string path = TempPath("chaos_snapshot.ckpt");
+  const std::string path = TestTempPath("chaos_snapshot.ckpt");
   WriteGoodSnapshot(path);
 
   RecServiceOptions options;
@@ -239,7 +236,7 @@ TEST_F(ServeChaosTest, SnapshotlessChaosAlwaysAnswersFromFallback) {
       }
     });
   }
-  const std::string path = TempPath("chaos_never_loads.ckpt");
+  const std::string path = TestTempPath("chaos_never_loads.ckpt");
   for (int i = 0; i < 4; ++i) {
     EXPECT_FALSE(service.LoadSnapshot(path).ok());
   }
@@ -257,7 +254,7 @@ TEST_F(ServeChaosTest, MetricsAccountingIdentityHoldsExactlyUnderChaos) {
   // (no invalid/error/cancelled/partial-degraded traffic is generated, so
   // those stay zero and the four-term identity must hold with equality;
   // the partial-degraded term is exercised in shard_fault_test.cc).
-  const std::string path = TempPath("chaos_metrics_snapshot.ckpt");
+  const std::string path = TestTempPath("chaos_metrics_snapshot.ckpt");
   WriteGoodSnapshot(path);
 
   MetricsRegistry metrics;
@@ -360,7 +357,7 @@ TEST_F(ServeChaosTest, MetricsAccountingIdentityHoldsExactlyUnderChaos) {
 }
 
 TEST_F(ServeChaosTest, ShutdownDuringChaosResolvesEveryQueuedRequest) {
-  const std::string path = TempPath("chaos_shutdown.ckpt");
+  const std::string path = TestTempPath("chaos_shutdown.ckpt");
   WriteGoodSnapshot(path);
   RecServiceOptions options;
   options.num_workers = 1;

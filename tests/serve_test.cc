@@ -5,17 +5,22 @@
 // load shedding, hot reload, degraded mode and recovery). Chaos-style
 // concurrency tests live in serve_chaos_test.cc.
 #include <algorithm>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "data/dataset.h"
+#include "obs/metrics.h"
 #include "serve/circuit_breaker.h"
 #include "serve/popularity.h"
 #include "serve/rec_service.h"
@@ -23,16 +28,13 @@
 #include "serve/snapshot.h"
 #include "tensor/checkpoint.h"
 #include "tensor/tensor.h"
+#include "tests/temp_path.h"
 #include "util/backoff.h"
 #include "util/fault_injector.h"
 #include "util/status.h"
 
 namespace imcat {
 namespace {
-
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + name;
-}
 
 RecRequest Req(int64_t user, int64_t top_k = 0, double deadline_ms = 0.0) {
   RecRequest request;
@@ -59,7 +61,7 @@ Tensor MakeTable(int64_t rows, int64_t cols, float scale) {
 // path.
 std::string WriteSnapshot(const char* name, int64_t num_users,
                           int64_t num_items, int64_t dim) {
-  const std::string path = TempPath(name);
+  const std::string path = TestTempPath(name);
   std::vector<Tensor> tensors;
   tensors.push_back(MakeTable(num_users, dim, 0.25f));
   tensors.push_back(MakeTable(num_items, dim, -0.5f));
@@ -101,12 +103,12 @@ TEST_F(ServeTest, SnapshotRoundTripsFactorMatrices) {
 }
 
 TEST_F(ServeTest, SnapshotMissingFileFails) {
-  auto loaded = EmbeddingSnapshot::Load(TempPath("snap_never_written.ckpt"));
+  auto loaded = EmbeddingSnapshot::Load(TestTempPath("snap_never_written.ckpt"));
   ASSERT_FALSE(loaded.ok());
 }
 
 TEST_F(ServeTest, SnapshotRejectsWrongTensorCount) {
-  const std::string path = TempPath("snap_three_tensors.ckpt");
+  const std::string path = TestTempPath("snap_three_tensors.ckpt");
   std::vector<Tensor> tensors = {MakeTable(4, 3, 1.0f), MakeTable(6, 3, 1.0f),
                                  MakeTable(2, 3, 1.0f)};
   ASSERT_TRUE(SaveCheckpoint(path, tensors).ok());
@@ -119,7 +121,7 @@ TEST_F(ServeTest, SnapshotRejectsWrongTensorCount) {
 }
 
 TEST_F(ServeTest, SnapshotRejectsMismatchedEmbeddingDims) {
-  const std::string path = TempPath("snap_dim_mismatch.ckpt");
+  const std::string path = TestTempPath("snap_dim_mismatch.ckpt");
   std::vector<Tensor> tensors = {MakeTable(4, 3, 1.0f), MakeTable(6, 2, 1.0f)};
   ASSERT_TRUE(SaveCheckpoint(path, tensors).ok());
   auto loaded = EmbeddingSnapshot::Load(path);
@@ -593,7 +595,7 @@ TEST_F(ServeTest, ServiceLoadGivesUpAfterMaxAttempts) {
   options.load_backoff.max_attempts = 2;
   RecService service(TestFallback(), options);
   FaultInjector::Instance().ArmLoadFailures(100);
-  Status status = service.LoadSnapshot(TempPath("svc_gone.ckpt"));
+  Status status = service.LoadSnapshot(TestTempPath("svc_gone.ckpt"));
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kIoError);
   EXPECT_NE(status.message().find("after 2 attempts"), std::string::npos);
@@ -787,6 +789,155 @@ TEST_F(ServeTest, ServiceShutdownIsIdempotentAndDefinite) {
   RecResponse response = service.Recommend(Req(0));
   EXPECT_EQ(response.status.code(), StatusCode::kUnavailable);
   EXPECT_NE(response.status.message().find("shut down"), std::string::npos);
+}
+
+// One fixed request sequence on a fake clock, covering the degraded, ok,
+// invalid, deadline-exceeded, cancelled-at-shutdown and shed outcomes plus
+// the snapshot and delta load outcomes. `submitted` counts every request.
+struct AccountingRun {
+  std::unique_ptr<RecService> service;
+  int64_t submitted = 0;
+};
+
+AccountingRun RunAccountingSequence(const std::string& snapshot_path,
+                                    MetricsRegistry* metrics) {
+  struct Gate {
+    std::mutex mu;
+    std::condition_variable cv;
+    double now = 0.0;
+    bool armed = false;
+    bool entered = false;
+    bool open = false;
+  };
+  auto gate = std::make_shared<Gate>();
+  const std::thread::id main_thread = std::this_thread::get_id();
+  RecServiceOptions options = FastServiceOptions();
+  options.num_workers = 1;
+  options.queue_capacity = 2;
+  options.recommender.block_items = 2;
+  options.metrics = metrics;
+  // Every reading advances 10 ms. While armed, the first reading off the
+  // test thread — the worker starting a batch — parks until the gate opens.
+  options.now_ms = [gate, main_thread] {
+    std::unique_lock<std::mutex> lock(gate->mu);
+    if (gate->armed && std::this_thread::get_id() != main_thread) {
+      gate->armed = false;
+      gate->entered = true;
+      gate->cv.notify_all();
+      gate->cv.wait(lock, [&gate] { return gate->open; });
+    }
+    return gate->now += 10.0;
+  };
+  AccountingRun run;
+  run.service = std::make_unique<RecService>(TestFallback(), options);
+  RecService& service = *run.service;
+  auto submit = [&run](RecRequest request) {
+    ++run.submitted;
+    return run.service->Submit(std::move(request));
+  };
+
+  EXPECT_EQ(service.LoadDelta(TestTempPath("acct_missing.imd3")).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(submit(Req(0)).get().degraded);
+  EXPECT_FALSE(service.LoadSnapshot(TestTempPath("acct_missing.ckpt")).ok());
+  EXPECT_TRUE(service.LoadSnapshot(snapshot_path).ok());
+  EXPECT_TRUE(submit(Req(1, 3, -1.0)).get().status.ok());
+  EXPECT_EQ(submit(Req(-1)).get().status.code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(submit(Req(1, 3, 5.0)).get().status.code(),
+            StatusCode::kDeadlineExceeded);
+
+  // A parks the only worker at the gate; B and C then fill the queue.
+  {
+    std::lock_guard<std::mutex> lock(gate->mu);
+    gate->armed = true;
+  }
+  std::vector<std::future<RecResponse>> futures;
+  futures.push_back(submit(Req(1, 3, -1.0)));
+  {
+    std::unique_lock<std::mutex> lock(gate->mu);
+    gate->cv.wait(lock, [&gate] { return gate->entered; });
+  }
+  futures.push_back(submit(Req(2, 3, -1.0)));
+  futures.push_back(submit(Req(3, 3, -1.0)));
+  std::thread shutdown([&service] { service.Shutdown(); });
+  // Probes are shed as queue-full until Shutdown has stopped admission;
+  // only then may A finish, so the worker exits without taking B or C.
+  while (true) {
+    const RecResponse probe = submit(Req(0)).get();
+    EXPECT_EQ(probe.status.code(), StatusCode::kUnavailable);
+    if (probe.status.message().find("shut down") != std::string::npos) break;
+  }
+  {
+    std::lock_guard<std::mutex> lock(gate->mu);
+    gate->open = true;
+  }
+  gate->cv.notify_all();
+  shutdown.join();
+  EXPECT_TRUE(futures[0].get().status.ok());
+  for (size_t i = 1; i < futures.size(); ++i) {
+    const RecResponse cancelled = futures[i].get();
+    EXPECT_EQ(cancelled.status.code(), StatusCode::kUnavailable);
+    EXPECT_NE(cancelled.status.message().find("shut down"), std::string::npos);
+  }
+  return run;
+}
+
+TEST_F(ServeTest, ServiceStatsAreTheSameWithOrWithoutAnInjectedRegistry) {
+  // stats() is the only accounting a service without an injected registry
+  // exposes; it must count exactly what an injected registry counts.
+  const std::string path = WriteSnapshot("svc_accounting.ckpt", 4, 12, 4);
+  MetricsRegistry registry;
+  AccountingRun injected = RunAccountingSequence(path, &registry);
+  AccountingRun own = RunAccountingSequence(path, nullptr);
+  // The number of shutdown probes depends on the schedule: pad the shorter
+  // run with post-shutdown requests, each shed like a probe.
+  for (AccountingRun* run : {&injected, &own}) {
+    const int64_t target = std::max(injected.submitted, own.submitted);
+    while (run->submitted < target) {
+      ++run->submitted;
+      EXPECT_EQ(run->service->Recommend(Req(0)).status.code(),
+                StatusCode::kUnavailable);
+    }
+  }
+
+  const RecServiceStats a = injected.service->stats();
+  const RecServiceStats b = own.service->stats();
+  const std::pair<const char*, int64_t RecServiceStats::*> fields[] = {
+      {"accepted", &RecServiceStats::accepted},
+      {"shed", &RecServiceStats::shed},
+      {"shed_queue_delay", &RecServiceStats::shed_queue_delay},
+      {"shed_predicted_late", &RecServiceStats::shed_predicted_late},
+      {"brownout_transitions", &RecServiceStats::brownout_transitions},
+      {"served_real", &RecServiceStats::served_real},
+      {"served_degraded", &RecServiceStats::served_degraded},
+      {"served_partial_degraded", &RecServiceStats::served_partial_degraded},
+      {"deadline_exceeded", &RecServiceStats::deadline_exceeded},
+      {"invalid_requests", &RecServiceStats::invalid_requests},
+      {"snapshot_reloads", &RecServiceStats::snapshot_reloads},
+      {"snapshot_load_failures", &RecServiceStats::snapshot_load_failures},
+      {"rejected_publishes", &RecServiceStats::rejected_publishes},
+      {"staleness_trips", &RecServiceStats::staleness_trips},
+      {"delta_publishes", &RecServiceStats::delta_publishes},
+      {"rejected_deltas", &RecServiceStats::rejected_deltas},
+  };
+  for (const auto& [name, field] : fields) {
+    EXPECT_EQ(a.*field, b.*field) << name;
+  }
+  EXPECT_EQ(a.accepted, 7);  // 4 served + A + cancelled B and C.
+  EXPECT_EQ(a.accepted + a.shed, injected.submitted);
+  EXPECT_EQ(b.accepted + b.shed, own.submitted);
+  EXPECT_EQ(a.served_real, 2);
+  EXPECT_EQ(a.served_degraded, 1);
+  EXPECT_EQ(a.invalid_requests, 1);
+  EXPECT_EQ(a.deadline_exceeded, 1);
+  EXPECT_EQ(a.snapshot_reloads, 1);
+  EXPECT_EQ(a.snapshot_load_failures, 1);
+  EXPECT_EQ(a.rejected_deltas, 1);
+  const MetricsSnapshot metrics = registry.Snapshot();
+  EXPECT_EQ(metrics.CounterValue("serve_requests_total"), injected.submitted);
+  EXPECT_EQ(metrics.CounterValue("serve_requests_cancelled_total"), 2);
+  std::remove(path.c_str());
 }
 
 }  // namespace

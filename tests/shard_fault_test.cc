@@ -37,6 +37,7 @@
 #include "serve/snapshot.h"
 #include "tensor/checkpoint.h"
 #include "tensor/tensor.h"
+#include "tests/temp_path.h"
 #include "util/fault_injector.h"
 #include "util/status.h"
 
@@ -49,10 +50,6 @@ constexpr int64_t kDim = 4;
 constexpr int64_t kIps = 8;  // Items per shard -> shards [0,8) [8,16)
                              // [16,24) [24,30).
 constexpr int64_t kShards = 4;
-
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + name;
-}
 
 Tensor MakeTable(int64_t rows, int64_t cols, float scale) {
   std::vector<float> values(static_cast<size_t>(rows * cols));
@@ -81,7 +78,7 @@ float ExpectedScore(int64_t u, int64_t i) {
 
 std::string WriteSharded(const char* name, int64_t version = 0,
                          int64_t items_per_shard = kIps) {
-  const std::string path = TempPath(name);
+  const std::string path = TestTempPath(name);
   ShardedSnapshotOptions options;
   options.items_per_shard = items_per_shard;
   options.version = version;
@@ -168,7 +165,7 @@ TEST_F(ShardFaultTest, ManifestRecordsContiguousShardGeometry) {
 }
 
 TEST_F(ShardFaultTest, MonolithicCheckpointLoadsAsSingleHealthyShard) {
-  const std::string path = TempPath("sf_monolithic.ckpt");
+  const std::string path = TestTempPath("sf_monolithic.ckpt");
   std::vector<Tensor> tensors = {UserTable(), ItemTable()};
   ASSERT_TRUE(SaveCheckpoint(path, tensors).ok());
   EXPECT_FALSE(IsShardedSnapshotFile(path));
@@ -500,7 +497,7 @@ TEST_F(ShardFaultTest, ServicePartialDegradedServingAndSelfHeal) {
 }
 
 TEST_F(ShardFaultTest, ServiceRefusesNonMonotonicSnapshotVersions) {
-  const std::string journal_path = TempPath("sf_monotonic.journal");
+  const std::string journal_path = TestTempPath("sf_monotonic.journal");
   RunJournal journal(journal_path);
   MetricsRegistry metrics;
   RecService service(ShardFallback(),
@@ -548,7 +545,7 @@ TEST_F(ShardFaultTest, ServiceRefusesNonMonotonicSnapshotVersions) {
 }
 
 TEST_F(ShardFaultTest, StalenessWatchdogTripsDegradedAndRecovers) {
-  const std::string journal_path = TempPath("sf_stale.journal");
+  const std::string journal_path = TestTempPath("sf_stale.journal");
   RunJournal journal(journal_path);
   MetricsRegistry metrics;
   auto clock_ms = std::make_shared<std::atomic<double>>(0.0);

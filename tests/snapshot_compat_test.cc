@@ -25,6 +25,7 @@
 #include "serve/snapshot.h"
 #include "tensor/checkpoint.h"
 #include "tensor/tensor.h"
+#include "tests/temp_path.h"
 #include "util/checksum.h"
 #include "util/status.h"
 
@@ -35,10 +36,6 @@ constexpr int64_t kUsers = 10;
 constexpr int64_t kItems = 30;
 constexpr int64_t kDim = 4;
 constexpr int64_t kIps = 8;
-
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + name;
-}
 
 Tensor MakeTable(int64_t rows, int64_t cols, float scale) {
   std::vector<float> values(static_cast<size_t>(rows * cols));
@@ -77,7 +74,7 @@ struct ByteWriter {
 // v2 monolithic
 
 TEST(SnapshotCompatTest, V2MonolithicCheckpointLoads) {
-  const std::string path = TempPath("compat_v2.ckpt");
+  const std::string path = TestTempPath("compat_v2.ckpt");
   std::vector<Tensor> tensors = {UserTable(), ItemTable()};
   ASSERT_TRUE(SaveCheckpoint(path, tensors).ok());
   EXPECT_FALSE(IsShardedSnapshotFile(path));
@@ -101,7 +98,7 @@ TEST(SnapshotCompatTest, V2MonolithicCheckpointLoads) {
 // v3 full + delta chains
 
 TEST(SnapshotCompatTest, V3FullSnapshotRoundTripsWithVersion) {
-  const std::string path = TempPath("compat_v3.snap");
+  const std::string path = TestTempPath("compat_v3.snap");
   ASSERT_TRUE(
       WriteShardedSnapshot(path, UserTable(), ItemTable(), {kIps, 11}).ok());
   EXPECT_TRUE(IsShardedSnapshotFile(path));
@@ -113,7 +110,7 @@ TEST(SnapshotCompatTest, V3FullSnapshotRoundTripsWithVersion) {
 }
 
 TEST(SnapshotCompatTest, DeltaChainAppliesInOrderAndRefusesSkippedLinks) {
-  const std::string base_path = TempPath("compat_chain_base.snap");
+  const std::string base_path = TestTempPath("compat_chain_base.snap");
   ASSERT_TRUE(
       WriteShardedSnapshot(base_path, UserTable(), ItemTable(), {kIps, 1})
           .ok());
@@ -124,13 +121,13 @@ TEST(SnapshotCompatTest, DeltaChainAppliesInOrderAndRefusesSkippedLinks) {
   // Two chained deltas, each bumping one item shard's rows.
   Tensor items_v2 = ItemTable();
   for (int64_t d = 0; d < kDim; ++d) items_v2.data()[2 * kDim + d] = 1.0f;
-  const std::string delta12 = TempPath("compat_chain_12.delta");
+  const std::string delta12 = TestTempPath("compat_chain_12.delta");
   ASSERT_TRUE(WriteDeltaSnapshot(delta12, UserTable(), items_v2, {0},
                                  {kIps, 1, 2})
                   .ok());
   Tensor items_v3 = items_v2;
   for (int64_t d = 0; d < kDim; ++d) items_v3.data()[20 * kDim + d] = 2.0f;
-  const std::string delta23 = TempPath("compat_chain_23.delta");
+  const std::string delta23 = TestTempPath("compat_chain_23.delta");
   ASSERT_TRUE(WriteDeltaSnapshot(delta23, UserTable(), items_v3, {2},
                                  {kIps, 2, 3})
                   .ok());
@@ -163,7 +160,7 @@ TEST(SnapshotCompatTest, DeltaChainAppliesInOrderAndRefusesSkippedLinks) {
 }
 
 TEST(SnapshotCompatTest, DeltaChainsOntoMonolithicBaseButNotBadGeometry) {
-  const std::string base_path = TempPath("compat_mono_base.ckpt");
+  const std::string base_path = TestTempPath("compat_mono_base.ckpt");
   std::vector<Tensor> tensors = {UserTable(), ItemTable()};
   ASSERT_TRUE(SaveCheckpoint(base_path, tensors).ok());
   auto base = EmbeddingSnapshot::Load(base_path);
@@ -172,7 +169,7 @@ TEST(SnapshotCompatTest, DeltaChainsOntoMonolithicBaseButNotBadGeometry) {
   // at version 0; a delta built to exactly that geometry chains on.
   Tensor items_next = ItemTable();
   for (int64_t d = 0; d < kDim; ++d) items_next.data()[5 * kDim + d] = 3.0f;
-  const std::string delta = TempPath("compat_mono.delta");
+  const std::string delta = TestTempPath("compat_mono.delta");
   ASSERT_TRUE(
       WriteDeltaSnapshot(delta, UserTable(), items_next, {0}, {kItems, 0, 1})
           .ok());
@@ -185,7 +182,7 @@ TEST(SnapshotCompatTest, DeltaChainsOntoMonolithicBaseButNotBadGeometry) {
 
   // Mismatched items_per_shard: a shard index would address a different
   // item range in base and delta — refused outright.
-  const std::string bad_ips = TempPath("compat_mono_badips.delta");
+  const std::string bad_ips = TestTempPath("compat_mono_badips.delta");
   ASSERT_TRUE(
       WriteDeltaSnapshot(bad_ips, UserTable(), ItemTable(), {0}, {kIps, 0, 1})
           .ok());
@@ -194,7 +191,7 @@ TEST(SnapshotCompatTest, DeltaChainsOntoMonolithicBaseButNotBadGeometry) {
   EXPECT_EQ(ips_mismatch.status().code(), StatusCode::kInvalidArgument);
 
   // Mismatched embedding dimension.
-  const std::string bad_dim = TempPath("compat_mono_baddim.delta");
+  const std::string bad_dim = TestTempPath("compat_mono_baddim.delta");
   ASSERT_TRUE(WriteDeltaSnapshot(bad_dim, MakeTable(kUsers, 8, 0.1f),
                                  MakeTable(kItems, 8, 0.2f), {0},
                                  {kItems, 0, 1})
@@ -204,7 +201,7 @@ TEST(SnapshotCompatTest, DeltaChainsOntoMonolithicBaseButNotBadGeometry) {
   EXPECT_EQ(dim_mismatch.status().code(), StatusCode::kInvalidArgument);
 
   // Shrinking tables can silently orphan live ids — refused.
-  const std::string shrink = TempPath("compat_mono_shrink.delta");
+  const std::string shrink = TestTempPath("compat_mono_shrink.delta");
   ASSERT_TRUE(WriteDeltaSnapshot(shrink, MakeTable(kUsers - 2, kDim, 0.1f),
                                  ItemTable(), {0}, {kItems, 0, 1})
                   .ok());
@@ -271,7 +268,7 @@ ByteWriter CraftV3File() {
 }
 
 TEST(SnapshotCompatTest, ByteCraftedV3FileLoadsBitExactly) {
-  const std::string path = TempPath("compat_craft_v3.snap");
+  const std::string path = TestTempPath("compat_craft_v3.snap");
   CraftV3File().WriteTo(path);
   EXPECT_TRUE(IsShardedSnapshotFile(path));
   auto loaded = EmbeddingSnapshot::Load(path);
@@ -299,7 +296,7 @@ TEST(SnapshotCompatTest, ByteCraftedV3FileLoadsBitExactly) {
 }
 
 TEST(SnapshotCompatTest, ByteCraftedDeltaFileAppliesBitExactly) {
-  const std::string base_path = TempPath("compat_craft_base.snap");
+  const std::string base_path = TestTempPath("compat_craft_base.snap");
   CraftV3File().WriteTo(base_path);
   auto base = EmbeddingSnapshot::Load(base_path);
   ASSERT_TRUE(base.ok());
@@ -337,7 +334,7 @@ TEST(SnapshotCompatTest, ByteCraftedDeltaFileAppliesBitExactly) {
   w.Value(Fnv1aHash(w.bytes.data(), w.bytes.size()));
   w.Raw(users.data(), static_cast<size_t>(user_bytes));
   w.Raw(items.data(), static_cast<size_t>(item_bytes));
-  const std::string delta_path = TempPath("compat_craft.delta");
+  const std::string delta_path = TestTempPath("compat_craft.delta");
   w.WriteTo(delta_path);
 
   EXPECT_TRUE(IsDeltaSnapshotFile(delta_path));
@@ -370,7 +367,7 @@ TEST(SnapshotCompatTest, ByteCraftedDeltaFileAppliesBitExactly) {
 TEST(SnapshotCompatTest, TamperedMagicOrFormatVersionFailsCleanly) {
   // Wrong magic: not recognised as a sharded snapshot, and the monolithic
   // loader then rejects it too.
-  const std::string magic_path = TempPath("compat_magic.snap");
+  const std::string magic_path = TestTempPath("compat_magic.snap");
   ByteWriter bad_magic = CraftV3File();
   bad_magic.bytes[0] = 'X';
   bad_magic.WriteTo(magic_path);
@@ -380,7 +377,7 @@ TEST(SnapshotCompatTest, TamperedMagicOrFormatVersionFailsCleanly) {
   EXPECT_FALSE(loaded.ok());
 
   // Wrong format version: recognised, refused before any payload is read.
-  const std::string version_path = TempPath("compat_version.snap");
+  const std::string version_path = TestTempPath("compat_version.snap");
   ByteWriter bad_version = CraftV3File();
   bad_version.bytes[4] = 99;
   bad_version.WriteTo(version_path);

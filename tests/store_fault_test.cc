@@ -42,6 +42,7 @@
 #include "serve/snapshot.h"
 #include "serve/snapshot_store.h"
 #include "tensor/tensor.h"
+#include "tests/temp_path.h"
 #include "train/online_updater.h"
 #include "train/trainer.h"
 #include "util/fault_injector.h"
@@ -57,13 +58,9 @@ constexpr int64_t kItems = 30;
 constexpr int64_t kDim = 4;
 constexpr int64_t kIps = 8;  // Shards [0,8) [8,16) [16,24) [24,30).
 
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + name;
-}
-
 /// A per-test store directory, wiped so reruns start from nothing.
 std::string FreshDir(const char* name) {
-  const std::string dir = TempPath(name);
+  const std::string dir = TestTempPath(name);
   fs::remove_all(dir);
   return dir;
 }
@@ -192,7 +189,7 @@ class StoreFaultTest : public ::testing::Test {
 
 TEST_F(StoreFaultTest, PublishRegistersVersionedArtifacts) {
   const std::string dir = FreshDir("sf_publish");
-  const std::string journal_path = TempPath("sf_publish.journal");
+  const std::string journal_path = TestTempPath("sf_publish.journal");
   MetricsRegistry metrics;
   RunJournal journal(journal_path);
   SnapshotStoreOptions options;
@@ -317,7 +314,7 @@ TEST_F(StoreFaultTest, RecoveryReadmitsUnregisteredArtifactsAndRemovesDebris) {
   WriteFileBytes(dir + "/notes.txt", "operator scratch file");
 
   MetricsRegistry metrics;
-  const std::string journal_path = TempPath("sf_recover_readmit.journal");
+  const std::string journal_path = TestTempPath("sf_recover_readmit.journal");
   RunJournal journal(journal_path);
   SnapshotStoreOptions options;
   options.metrics = &metrics;
@@ -427,7 +424,7 @@ TEST_F(StoreFaultTest, RecoveryCountsMissingActiveFiles) {
 TEST_F(StoreFaultTest, RetentionGCDropsChainsRootedAtExpiredFulls) {
   const std::string dir = FreshDir("sf_gc_retention");
   MetricsRegistry metrics;
-  const std::string journal_path = TempPath("sf_gc_retention.journal");
+  const std::string journal_path = TestTempPath("sf_gc_retention.journal");
   RunJournal journal(journal_path);
   SnapshotStoreOptions options;
   options.retain_full = 2;

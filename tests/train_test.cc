@@ -1,3 +1,4 @@
+#include "tests/temp_path.h"
 #include "train/trainer.h"
 
 #include <cstdio>
@@ -292,7 +293,7 @@ Tensor ExportTable(int64_t rows, int64_t cols, float scale) {
 
 TEST(TrainerTest, ExportServingCheckpointWritesShardedSnapshot) {
   const std::string path =
-      std::string(::testing::TempDir()) + "export_sharded.snap";
+      TestTempPath("export_sharded.snap");
   FakeFactorModel model(ExportTable(9, 4, 0.5f), ExportTable(13, 4, -0.25f));
   ServingExportOptions options;
   options.items_per_shard = 5;
@@ -327,7 +328,7 @@ TEST(TrainerTest, ExportServingCheckpointFallsBackToMonolithicLayout) {
   // One parameter tensor is not a factor-model layout: the export keeps
   // the monolithic v2 checkpoint format.
   const std::string path =
-      std::string(::testing::TempDir()) + "export_monolithic.ckpt";
+      TestTempPath("export_monolithic.ckpt");
   FakeModel model({1.0});
   ASSERT_TRUE(ExportServingCheckpoint(&model, path).ok());
   EXPECT_FALSE(IsShardedSnapshotFile(path));
