@@ -1,54 +1,56 @@
-// Microbenchmark for the blocked multi-user scoring kernel
-// (tensor/score_kernel.h, DESIGN.md §12): items/sec scored as a function
-// of batch size (users scored per pass) and item-block tile, against the
-// one-user-at-a-time scalar loop as baseline. The kernel's whole point is
-// cache residency — the item table streams through cache once per batch
-// instead of once per user — so throughput should rise with batch size
-// until the batch's score rows crowd the block tile out of L2, and be
-// roughly flat in block size across the L2-friendly range.
+// Microbenchmark for the panel scoring kernel (tensor/score_kernel.h,
+// DESIGN.md §12) at the serving shape of perfbench's serve workloads
+// (100k items, dim 64): milliseconds to score the whole catalogue for a
+// batch of 1, 2 or 8 users, for every kernel variant this CPU supports,
+// against the one-user-at-a-time scalar loop over the row-major table.
+// The kernel walks the panel table in 1024-item blocks (the serving
+// default, RecommenderOptions::block_items) and scores each block for the
+// whole batch, as Recommender::TopKBatch does.
 //
-// Each cell also re-verifies bit-identity against the scalar loop; any
-// divergence fails the run (exit 1), so the perf table can never drift
-// from the contract the serving and eval paths rely on.
+// Each cell also re-verifies bit-identity against the scalar loop for every
+// user of the batch; any divergence fails the run (exit 1), so the perf
+// table can never drift from the contract the serving and eval paths rely
+// on. A variant the CPU lacks is listed as skipped, never timed.
 //
-// Catalogue shape mirrors bench/load_gen's serving snapshot (60k items,
-// dim 32) so items/sec here translates directly to serving capacity.
+// Usage: build/bench/score_kernel
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "tensor/score_kernel.h"
-#include "tensor/tensor.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
 
 namespace {
 
-constexpr int64_t kNumUsers = 256;
-constexpr int64_t kNumItems = 60000;
-constexpr int64_t kDim = 32;
-constexpr int kReps = 5;
+constexpr int64_t kNumItems = 100000;
+constexpr int64_t kDim = 64;
+constexpr int64_t kBlockItems = 1024;
+constexpr int64_t kMaxBatch = 8;
+constexpr int kReps = 21;
 
-imcat::Tensor MakeTable(int64_t rows, int64_t cols, float scale) {
+std::vector<float> MakeTable(int64_t rows, int64_t cols, float scale) {
   std::vector<float> values(static_cast<size_t>(rows * cols));
   for (size_t i = 0; i < values.size(); ++i) {
     values[i] = scale * static_cast<float>(static_cast<int64_t>(i) % 97 - 48);
   }
-  return imcat::Tensor(rows, cols, std::move(values));
+  return values;
 }
 
-double MedianSeconds(const std::function<void()>& fn, int reps) {
+double MedianMs(const std::function<void()>& fn) {
   std::vector<double> times;
-  times.reserve(reps);
-  for (int r = 0; r < reps; ++r) {
+  for (int r = 0; r < kReps; ++r) {
     const auto start = std::chrono::steady_clock::now();
     fn();
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
-    times.push_back(elapsed.count());
+    times.push_back(std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start)
+                        .count());
   }
   std::sort(times.begin(), times.end());
   return times[times.size() / 2];
@@ -57,106 +59,82 @@ double MedianSeconds(const std::function<void()>& fn, int reps) {
 }  // namespace
 
 int main() {
-  imcat::Tensor users = MakeTable(kNumUsers, kDim, 0.02f);
-  imcat::Tensor items = MakeTable(kNumItems, kDim, -0.02f);
-  std::vector<const float*> rows(kNumUsers);
-  for (int64_t u = 0; u < kNumUsers; ++u) {
-    rows[u] = users.data() + u * kDim;
-  }
+  const std::vector<float> users = MakeTable(kMaxBatch, kDim, 0.02f);
+  const std::vector<float> items = MakeTable(kNumItems, kDim, -0.02f);
+  std::vector<const float*> rows(kMaxBatch);
+  for (int64_t u = 0; u < kMaxBatch; ++u) rows[u] = users.data() + u * kDim;
+  const int64_t num_panels = imcat::NumPanels(kNumItems);
+  std::vector<float> panels(
+      static_cast<size_t>(num_panels * imcat::kPanelItems * kDim));
+  imcat::PackPanels(items.data(), kNumItems, kDim, panels.data());
 
-  // Scalar baseline: the literal pre-batching loop — one user at a time,
-  // one accumulator chain per item, whole catalogue per user (what
-  // EmbeddingSnapshot::Score and the scalar rankers ran). One buffer
-  // reused across users so the comparison is pure scoring cost.
-  std::vector<float> scalar_out(kNumItems);
-  const double scalar_sec = MedianSeconds(
-      [&] {
-        for (int64_t u = 0; u < kNumUsers; ++u) {
-          const float* urow = rows[u];
-          for (int64_t i = 0; i < kNumItems; ++i) {
-            const float* irow = items.data() + i * kDim;
-            float acc = 0.0f;
-            for (int64_t c = 0; c < kDim; ++c) acc += urow[c] * irow[c];
-            scalar_out[i] = acc;
-          }
-        }
-      },
-      kReps);
-  const double total_scores =
-      static_cast<double>(kNumUsers) * static_cast<double>(kNumItems);
-  std::printf("scalar baseline: %.3f s for %lld users x %lld items "
-              "(%.1f M scores/sec)\n\n",
-              scalar_sec, static_cast<long long>(kNumUsers),
-              static_cast<long long>(kNumItems),
-              total_scores / scalar_sec / 1e6);
-
-  // Naive-loop reference scores for the bit-identity check (first and
-  // last user are enough to catch a stride or blocking bug; full U x N
-  // would dominate the runtime).
-  std::vector<float> reference_first(kNumItems), reference_last(kNumItems);
-  for (int64_t i = 0; i < kNumItems; ++i) {
-    const float* irow = items.data() + i * kDim;
-    float first = 0.0f, last = 0.0f;
-    for (int64_t c = 0; c < kDim; ++c) {
-      first += rows[0][c] * irow[c];
-      last += rows[kNumUsers - 1][c] * irow[c];
-    }
-    reference_first[i] = first;
-    reference_last[i] = last;
-  }
-
-  imcat::TablePrinter table(
-      {"batch users", "block items", "median sec", "M scores/sec",
-       "vs scalar"});
-  bool all_identical = true;
-  std::vector<float> out;
-  for (int64_t batch : {int64_t{1}, int64_t{4}, int64_t{8}, int64_t{16},
-                        int64_t{64}, int64_t{256}}) {
-    for (int64_t block : {int64_t{256}, int64_t{1024}, int64_t{4096}}) {
-      out.assign(static_cast<size_t>(batch) * kNumItems, 0.0f);
-      const double sec = MedianSeconds(
-          [&] {
-            for (int64_t begin = 0; begin < kNumUsers; begin += batch) {
-              const int64_t n = std::min(batch, kNumUsers - begin);
-              imcat::ScoreAllItemsBlocked(rows.data() + begin, n,
-                                          items.data(), kNumItems, kDim,
-                                          block, out.data(), kNumItems);
-            }
-          },
-          kReps);
-      // After the timed reps, `out` holds the last batch [256-batch, 256):
-      // row 0 is user 256-batch, the last row is user 255. Check the last
-      // row against its scalar reference, and for the full-batch case the
-      // first row too.
-      bool identical = true;
+  // The scalar loop every score must reproduce bit for bit, and the
+  // baseline: one user at a time, one chain per item, whole catalogue.
+  std::vector<float> reference(static_cast<size_t>(kMaxBatch * kNumItems));
+  auto scalar = [&](int64_t batch) {
+    for (int64_t u = 0; u < batch; ++u) {
       for (int64_t i = 0; i < kNumItems; ++i) {
-        if (out[static_cast<size_t>((std::min(batch, kNumUsers) - 1)) *
-                    kNumItems +
-                i] != reference_last[i]) {
-          identical = false;
-          break;
-        }
+        const float* irow = items.data() + i * kDim;
+        float acc = 0.0f;
+        for (int64_t c = 0; c < kDim; ++c) acc += rows[u][c] * irow[c];
+        reference[static_cast<size_t>(u * kNumItems + i)] = acc;
       }
-      if (identical && batch == kNumUsers) {
-        for (int64_t i = 0; i < kNumItems; ++i) {
-          if (out[i] != reference_first[i]) {
-            identical = false;
-            break;
-          }
+    }
+  };
+
+  std::printf("catalogue %lld items x dim %lld, %lld-item blocks; "
+              "ScorePanels runs \"%s\"\n\n",
+              static_cast<long long>(kNumItems), static_cast<long long>(kDim),
+              static_cast<long long>(kBlockItems),
+              imcat::ActiveScoreKernel().name);
+  imcat::TablePrinter table(
+      {"variant", "batch users", "median ms", "M scores/sec", "vs scalar"});
+  const int64_t block_panels = kBlockItems / imcat::kPanelItems;
+  const int64_t stride = num_panels * imcat::kPanelItems;
+  std::vector<float> out(static_cast<size_t>(kMaxBatch * stride));
+  bool all_identical = true;
+  for (int64_t batch : {int64_t{1}, int64_t{2}, int64_t{8}}) {
+    const double scalar_ms = MedianMs([&] { scalar(batch); });
+    const double scores = static_cast<double>(batch * kNumItems);
+    for (const imcat::ScoreKernelVariant& variant :
+         imcat::ScoreKernelVariants()) {
+      if (!variant.supported()) {
+        table.AddRow({variant.name, std::to_string(batch), "-", "-",
+                      "skipped: CPU lacks it"});
+        continue;
+      }
+      std::fill(out.begin(), out.end(), -1.0f);
+      const double ms = MedianMs([&] {
+        for (int64_t p = 0; p < num_panels; p += block_panels) {
+          variant.fn(rows.data(), batch, panels.data(), p,
+                     std::min(block_panels, num_panels - p), kDim,
+                     out.data() + p * imcat::kPanelItems, stride);
         }
+      });
+      bool identical = true;
+      for (int64_t u = 0; u < batch && identical; ++u) {
+        identical = std::equal(
+            reference.begin() + u * kNumItems,
+            reference.begin() + (u + 1) * kNumItems, out.begin() + u * stride,
+            [](float a, float b) {
+              return std::memcmp(&a, &b, sizeof(float)) == 0;
+            });
       }
       all_identical = all_identical && identical;
-      table.AddRow({std::to_string(batch), std::to_string(block),
-                    imcat::FormatDouble(sec, 4),
-                    imcat::FormatDouble(total_scores / sec / 1e6, 1),
-                    identical ? imcat::FormatDouble(scalar_sec / sec, 2) + "x"
+      table.AddRow({variant.name, std::to_string(batch),
+                    imcat::FormatDouble(ms, 3),
+                    imcat::FormatDouble(scores / ms / 1e3, 1),
+                    identical ? imcat::FormatDouble(scalar_ms / ms, 2) + "x"
                               : "DIVERGED"});
     }
+    table.AddRow({"scalar", std::to_string(batch),
+                  imcat::FormatDouble(scalar_ms, 3),
+                  imcat::FormatDouble(scores / scalar_ms / 1e3, 1), "1.00x"});
   }
   table.Print();
   if (!all_identical) {
-    std::fprintf(stderr,
-                 "FATAL: batched kernel diverged from the scalar loop\n");
+    std::fprintf(stderr, "FATAL: a kernel variant diverged from the scalar "
+                         "loop\n");
     return 1;
   }
   return 0;

@@ -18,7 +18,7 @@
 #   scripts/check.sh --tsan     # tsan leg only (full suite + race/chaos)
 #   scripts/check.sh --chaos    # fault-injection + serving chaos suites
 #   scripts/check.sh --overload # overload/brownout suite (plain + TSan)
-#   scripts/check.sh --kernel   # batched-scoring suite (plain + TSan)
+#   scripts/check.sh --kernel   # batched-scoring suite (plain + TSan) + kernel bench
 #   scripts/check.sh --store    # snapshot-store durability suite (plain + ASan)
 #   scripts/check.sh --fuzz     # ingestion corruption-fuzz sweep (sanitized)
 #   scripts/check.sh --docs     # docs link check + bench artifact schemas
@@ -212,7 +212,8 @@ fi
 
 if [[ "$run_kernel" == 1 ]]; then
   # The batched-scoring suite proves the two batching contracts twice:
-  # plain for exact bit-identity (kernel vs scalar loop, TopKBatch vs
+  # plain for exact bit-identity (every kernel variant vs scalar loop,
+  # packed snapshots vs row-major brute force, TopKBatch vs
   # scalar TopK, batched Evaluate vs per-user), then under TSan because
   # request coalescing moves queue ownership across submitter, drain
   # tickets and cancel callbacks — exactly where a lost wakeup or a torn
@@ -222,6 +223,10 @@ if [[ "$run_kernel" == 1 ]]; then
   cmake -B build -S . >/dev/null
   cmake --build build -j "$jobs"
   (cd build && ctest -L 'kernel|overload' --output-on-failure --timeout 240)
+  # The kernel bench times every variant this CPU supports at the serving
+  # shape and exits 1 if any of them differs from the scalar loop by a bit.
+  echo "=== panel-kernel bench + divergence check (build/bench/score_kernel) ==="
+  build/bench/score_kernel
   echo "=== batched-scoring suite under TSan (ctest -L 'kernel|overload') ==="
   cmake -B build-tsan -S . -DIMCAT_SANITIZE="thread" >/dev/null
   cmake --build build-tsan -j "$jobs"

@@ -447,10 +447,14 @@ std::string RecService::HealthJson() const {
       options_.max_snapshot_staleness_ms > 0.0 &&
       staleness_ms > options_.max_snapshot_staleness_ms;
   const CircuitBreaker::State breaker = breaker_.state();
-  // Coarse triage verdict, most severe first: "degraded" (no real scores
-  // for at least some traffic), "browned_out" (reduced quality), "ok".
+  // Coarse triage verdict, most severe first: "shut_down" (every request
+  // is refused), "degraded" (no real scores for at least some traffic),
+  // "browned_out" (reduced quality), "ok".
   const char* status = "ok";
-  if (snap == nullptr || breaker == CircuitBreaker::State::kOpen || stale) {
+  if (pool_.stopped()) {
+    status = "shut_down";
+  } else if (snap == nullptr || breaker == CircuitBreaker::State::kOpen ||
+             stale) {
     status = "degraded";
   } else if (level > 0 || over) {
     status = "browned_out";

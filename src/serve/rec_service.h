@@ -244,8 +244,9 @@ class RecService {
   /// True while the overload controller declares CoDel overload.
   bool overloaded() const;
 
-  /// One-line JSON health report: breaker state, brownout ladder level,
-  /// overload flag, smoothed queue-wait estimate, snapshot health
+  /// One-line JSON health report: a `status` verdict (most severe first:
+  /// shut_down, degraded, browned_out, ok), breaker state, brownout ladder
+  /// level, overload flag, smoothed queue-wait estimate, snapshot health
   /// (version, staleness, quarantined/stale shards), and the effective
   /// batch configuration (max_batch_size, kernel block_items). Wire it
   /// into MetricsScrapeServer::set_health_provider to serve `GET /healthz`.

@@ -165,7 +165,10 @@ Status Recommender::TopKBatchImpl(const EmbeddingSnapshot& snapshot,
   for (size_t r = 0; r < live.size(); ++r) live[r] = r;
   std::vector<const float*> user_rows;
   bool rows_dirty = true;
-  std::vector<float> scores(live.size() * static_cast<size_t>(block_items_));
+  // A block scores every panel it overlaps; one that starts mid-panel
+  // overlaps one panel more than an aligned block.
+  const int64_t stride = (NumPanels(block_items_) + 1) * kPanelItems;
+  std::vector<float> scores(live.size() * static_cast<size_t>(stride));
 
   for (int64_t begin = item_begin; begin < num_items; begin += block_items_) {
     if (begin > item_begin) {
@@ -215,33 +218,43 @@ Status Recommender::TopKBatchImpl(const EmbeddingSnapshot& snapshot,
       rows_dirty = false;
     }
     const int64_t end = std::min(begin + block_items_, num_items);
-    // The blocked kernel: this item block streams through cache once for
-    // the whole batch. Excluded/quarantined items are scored too and
-    // discarded during selection below — branchless scoring keeps the
-    // inner loop tight, and a discarded score cannot change the selected
-    // set (the ranking order is a strict total order).
-    ScoreBlock(user_rows.data(), static_cast<int64_t>(live.size()),
-               snapshot.item(begin), end - begin, snapshot.dim(),
-               scores.data(), block_items_);
+    // The panel kernel: this block's panels stream through cache once for
+    // the whole batch. Excluded/quarantined items (and the lanes of a
+    // partly covered panel) are scored too and discarded during selection
+    // below — branchless scoring keeps the inner loop tight, and a
+    // discarded score cannot change the selected set (the ranking order is
+    // a strict total order).
+    const int64_t first_panel = begin / kPanelItems;
+    ScorePanels(user_rows.data(), static_cast<int64_t>(live.size()),
+                snapshot.item_panels(), first_panel,
+                (end - 1) / kPanelItems - first_panel + 1, snapshot.dim(),
+                scores.data(), stride);
+    const int64_t first_lane_item = first_panel * kPanelItems;
     for (size_t r = 0; r < live.size(); ++r) {
       ActiveQuery& q = active[live[r]];
-      const int64_t k = queries[q.index].k;
-      const float* row = scores.data() + r * static_cast<size_t>(block_items_);
+      const size_t k = static_cast<size_t>(queries[q.index].k);
+      const bool has_exclusions = !q.excluded.empty();
+      const float* row = scores.data() + r * static_cast<size_t>(stride);
       for (int64_t item = begin; item < end; ++item) {
-        if (q.excluded.count(item) != 0) continue;
         if (check_quarantine && !snapshot.item_available(item)) {
-          ++q.skipped;
+          if (!has_exclusions || q.excluded.count(item) == 0) ++q.skipped;
           continue;
         }
-        const ScoredItem candidate{item, row[item - begin]};
-        if (static_cast<int64_t>(q.heap.size()) < k) {
-          q.heap.push_back(candidate);
-          std::push_heap(q.heap.begin(), q.heap.end(), Better);
-        } else if (Better(candidate, q.heap.front())) {
+        const float score = row[item - first_lane_item];
+        const bool full = q.heap.size() == k;
+        // Ids arrive in ascending order, so a candidate that ties the k-th
+        // score loses to it: once the heap is full only a strictly greater
+        // score can enter. A NaN compares false and stays out, as under
+        // Better.
+        if (full && !(score > q.heap.front().score)) continue;
+        if (has_exclusions && q.excluded.count(item) != 0) continue;
+        if (full) {
           std::pop_heap(q.heap.begin(), q.heap.end(), Better);
-          q.heap.back() = candidate;
-          std::push_heap(q.heap.begin(), q.heap.end(), Better);
+          q.heap.back() = ScoredItem{item, score};
+        } else {
+          q.heap.push_back(ScoredItem{item, score});
         }
+        std::push_heap(q.heap.begin(), q.heap.end(), Better);
       }
     }
   }

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <utility>
 
+#include "tensor/score_kernel.h"
 #include "util/atomic_file.h"
 #include "util/check.h"
 #include "util/checksum.h"
@@ -470,6 +471,10 @@ StatusOr<ShardedLoadResult> LoadShardedSnapshot(
   // read and checksummed in the scratch buffer, and only validated bytes
   // are copied into the table — so peak transient memory is one shard, and
   // a corrupt shard leaves zeroed rows, never half-read garbage.
+  // Capacity covers the tail panel's padding, so EmbeddingSnapshot packs
+  // the table into panels in place without reallocating.
+  result.items.reserve(static_cast<size_t>(NumPanels(manifest.num_items) *
+                                           kPanelItems * manifest.dim));
   result.items.assign(
       static_cast<size_t>(manifest.num_items * manifest.dim), 0.0f);
   result.quarantined.assign(manifest.item_shards.size(), 0);

@@ -49,8 +49,22 @@ Status LoadMonolithic(const std::string& path, int64_t* num_users,
   *num_items = items_rows;
   *dim = user_dim;
   users->assign(tensors[0].data(), tensors[0].data() + tensors[0].size());
+  items->reserve(static_cast<size_t>(NumPanels(items_rows) * kPanelItems *
+                                     item_dim));
   items->assign(tensors[1].data(), tensors[1].data() + tensors[1].size());
   return Status::OK();
+}
+
+/// Writes item rows [begin, end) (row-major, `dim` floats each) into their
+/// panel lanes; null `rows` zeroes the lanes instead.
+void ScatterRows(const float* rows, int64_t begin, int64_t end, int64_t dim,
+                 float* panels) {
+  for (int64_t i = begin; i < end; ++i) {
+    for (int64_t c = 0; c < dim; ++c) {
+      panels[PanelOffset(i, c, dim)] =
+          rows != nullptr ? rows[(i - begin) * dim + c] : 0.0f;
+    }
+  }
 }
 
 }  // namespace
@@ -76,11 +90,14 @@ StatusOr<std::shared_ptr<EmbeddingSnapshot>> EmbeddingSnapshot::Load(
     snapshot->stale_.assign(snapshot->quarantined_.size(), 0);
     snapshot->users_ = std::move(result.users);
     snapshot->items_ = std::move(result.items);
+    PackPanelsInPlace(&snapshot->items_, snapshot->num_items_,
+                      snapshot->dim_);
     return snapshot;
   }
   IMCAT_RETURN_IF_ERROR(LoadMonolithic(
       path, &snapshot->num_users_, &snapshot->num_items_, &snapshot->dim_,
       &snapshot->users_, &snapshot->items_));
+  PackPanelsInPlace(&snapshot->items_, snapshot->num_items_, snapshot->dim_);
   snapshot->items_per_shard_ = snapshot->num_items_;
   snapshot->quarantined_.assign(1, 0);
   snapshot->stale_.assign(1, 0);
@@ -149,10 +166,14 @@ StatusOr<std::shared_ptr<EmbeddingSnapshot>> EmbeddingSnapshot::ApplyDelta(
   const int64_t ips = manifest.items_per_shard;
   const int64_t base_items = base->num_items();
   const int64_t num_shards = (manifest.num_items + ips - 1) / ips;
+  // Panels are global, so the base's panels (tail padding included, which
+  // is zero) are a prefix of the new table; changed shards are scattered
+  // into their lanes below.
   snapshot->items_.assign(
-      static_cast<size_t>(manifest.num_items * dim), 0.0f);
+      static_cast<size_t>(NumPanels(manifest.num_items) * kPanelItems * dim),
+      0.0f);
   std::memcpy(snapshot->items_.data(), base->items_.data(),
-              static_cast<size_t>(base_items * dim) * sizeof(float));
+              base->items_.size() * sizeof(float));
 
   // A shard whose new range [begin, end) lies entirely inside the base's
   // catalogue inherits the base's health; a shard whose range extends past
@@ -173,9 +194,8 @@ StatusOr<std::shared_ptr<EmbeddingSnapshot>> EmbeddingSnapshot::ApplyDelta(
     const DeltaShardEntry& entry = manifest.changed_shards[i];
     const int64_t s = entry.shard_index;
     if (result.shard_ok[i]) {
-      std::memcpy(snapshot->items_.data() + entry.shard.begin * dim,
-                  result.shard_data[i].data(),
-                  static_cast<size_t>(entry.shard.byte_size));
+      ScatterRows(result.shard_data[i].data(), entry.shard.begin,
+                  entry.shard.end, dim, snapshot->items_.data());
       snapshot->quarantined_[s] = 0;
       snapshot->stale_[s] = 0;
       continue;
@@ -190,12 +210,9 @@ StatusOr<std::shared_ptr<EmbeddingSnapshot>> EmbeddingSnapshot::ApplyDelta(
       snapshot->stale_[s] = 0;
       // Quarantined rows are zero-filled by contract; clear any base rows
       // copied into the prefix of a partially-covered range.
-      const int64_t zero_end = std::min(entry.shard.end, base_items);
-      if (zero_end > entry.shard.begin) {
-        std::memset(snapshot->items_.data() + entry.shard.begin * dim, 0,
-                    static_cast<size_t>((zero_end - entry.shard.begin) * dim) *
-                        sizeof(float));
-      }
+      ScatterRows(nullptr, entry.shard.begin,
+                  std::min(entry.shard.end, base_items), dim,
+                  snapshot->items_.data());
     }
   }
   for (int64_t s = 0; s < num_shards; ++s) {
@@ -208,6 +225,21 @@ StatusOr<std::shared_ptr<EmbeddingSnapshot>> EmbeddingSnapshot::ApplyDelta(
                             "shard; delta refused");
   }
   return snapshot;
+}
+
+std::vector<float> EmbeddingSnapshot::CopyItemRows() const {
+  std::vector<float> rows(static_cast<size_t>(num_items_ * dim_));
+  for (int64_t i = 0; i < num_items_; ++i) {
+    for (int64_t c = 0; c < dim_; ++c) {
+      rows[static_cast<size_t>(i * dim_ + c)] = item_value(i, c);
+    }
+  }
+  return rows;
+}
+
+const float* EmbeddingSnapshot::item(int64_t i) const {
+  std::call_once(item_rows_once_, [this] { item_rows_ = CopyItemRows(); });
+  return item_rows_.data() + i * dim_;
 }
 
 Status EmbeddingSnapshot::ValidateUser(int64_t u) const {

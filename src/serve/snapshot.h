@@ -4,11 +4,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "serve/shard_format.h"
+#include "tensor/score_kernel.h"
 #include "util/status.h"
 
 /// \file snapshot.h
@@ -23,6 +25,13 @@
 ///  - the monolithic v2 checkpoint (trailing FNV-1a over the whole file):
 ///    all-or-nothing validation, loaded as a single never-quarantined
 ///    shard spanning the entire catalogue.
+///
+/// In memory, user rows stay row-major and the item table is stored as
+/// 16-item dimension-major panels (tensor/score_kernel.h), the layout the
+/// scoring kernel reads. Both loaders pack in place, one panel at a time,
+/// so a load never holds a second full item table; only the tail panel
+/// carries zero padding. Panels span the whole catalogue, independent of
+/// the on-disk shard size, and a quarantined item's lane reads 0.
 ///
 /// Snapshots are shared immutably (shared_ptr<const>): the service
 /// hot-swaps them atomically and mid-flight requests keep scoring against
@@ -80,18 +89,36 @@ class EmbeddingSnapshot {
   int64_t num_items() const { return num_items_; }
   int64_t dim() const { return dim_; }
 
-  /// Row pointers into the factor matrices (row-major, `dim()` floats).
-  /// Unchecked: callers must validate ids first (see ValidateUser /
-  /// ValidateItem); rows of quarantined shards are zero-filled.
+  /// User factor row (row-major, `dim()` floats). Unchecked: callers must
+  /// validate ids first (see ValidateUser).
   const float* user(int64_t u) const { return users_.data() + u * dim_; }
-  const float* item(int64_t i) const { return items_.data() + i * dim_; }
+
+  /// Item `i`'s factor `c`. Unchecked; quarantined items read 0.
+  float item_value(int64_t i, int64_t c) const {
+    return items_[static_cast<size_t>(PanelOffset(i, c, dim_))];
+  }
+
+  /// The item table as packed panels (tensor/score_kernel.h): item `i` is
+  /// lane `i % kPanelItems` of panel `i / kPanelItems`, zero-padded to
+  /// `NumPanels(num_items())` panels. The form ScorePanels reads.
+  const float* item_panels() const { return items_.data(); }
+
+  /// A row-major copy of the item table (`num_items() x dim()`).
+  std::vector<float> CopyItemRows() const;
+
+  /// Row pointer into a row-major copy of the item table, built on the
+  /// first call and kept for the snapshot's lifetime (`item(0)` is the
+  /// whole `num_items() x dim()` table). For verification tools that
+  /// brute-force rankings outside the library; it doubles the snapshot's
+  /// item memory, so nothing on the serving path calls it.
+  const float* item(int64_t i) const;
 
   /// Inner-product relevance score for one (user, item) pair. Unchecked.
   float Score(int64_t u, int64_t i) const {
     const float* a = user(u);
-    const float* b = item(i);
+    const float* b = items_.data() + PanelOffset(i, 0, dim_);
     float s = 0.0f;
-    for (int64_t d = 0; d < dim_; ++d) s += a[d] * b[d];
+    for (int64_t d = 0; d < dim_; ++d) s += a[d] * b[d * kPanelItems];
     return s;
   }
 
@@ -189,7 +216,9 @@ class EmbeddingSnapshot {
   std::vector<uint8_t> quarantined_;  ///< Per-shard flags (1 = quarantined).
   std::vector<uint8_t> stale_;        ///< Per-shard flags (1 = stale rows).
   std::vector<float> users_;
-  std::vector<float> items_;
+  std::vector<float> items_;  ///< Packed panels, see item_panels().
+  mutable std::once_flag item_rows_once_;
+  mutable std::vector<float> item_rows_;  ///< Built by item().
 };
 
 }  // namespace imcat

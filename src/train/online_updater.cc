@@ -152,9 +152,7 @@ StatusOr<std::unique_ptr<OnlineUpdater>> OnlineUpdater::FromSnapshot(
   updater->users_.assign(snapshot->user(0),
                          snapshot->user(0) + snapshot->num_users() *
                                                  snapshot->dim());
-  updater->items_.assign(snapshot->item(0),
-                         snapshot->item(0) + snapshot->num_items() *
-                                                 snapshot->dim());
+  updater->items_ = snapshot->CopyItemRows();
   updater->user_items_.resize(static_cast<size_t>(updater->num_users_));
   updater->item_users_.resize(static_cast<size_t>(updater->num_items_));
   for (const auto& [u, i] : seen) {

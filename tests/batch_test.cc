@@ -2,7 +2,7 @@
 // under TSan by scripts/check.sh --kernel). Pins the three contracts the
 // batched hot path rests on (DESIGN.md §12):
 //
-//  1. Kernel bit-identity: ScoreBlock / ScoreAllItemsBlocked produce the
+//  1. Kernel bit-identity: ScorePanels / ScoreAllItemsBlocked produce the
 //     exact fp32 values of the scalar ascending-dim dot loop for any batch
 //     size, block size and output stride, as do the batched ranker
 //     overrides built on them (Bprmf) and the batched Evaluator fan-out.
@@ -132,18 +132,22 @@ class BatchTest : public ::testing::Test {
 // 1. Kernel bit-identity
 // ---------------------------------------------------------------------------
 
-TEST_F(BatchTest, ScoreBlockMatchesScalarDotExactly) {
+TEST_F(BatchTest, ScorePanelsMatchesScalarDotExactly) {
   constexpr int64_t kUsers = 9, kItems = 41, kDim = 7;
   Tensor users = MakeTable(kUsers, kDim, 0.37f);
   Tensor items = MakeTable(kItems, kDim, -0.61f);
   std::vector<const float*> rows(kUsers);
   for (int64_t u = 0; u < kUsers; ++u) rows[u] = users.data() + u * kDim;
-  std::vector<float> out(kUsers * kItems, -1.0f);
-  ScoreBlock(rows.data(), kUsers, items.data(), kItems, kDim, out.data(),
-             kItems);
+  const int64_t num_panels = NumPanels(kItems);
+  const int64_t stride = num_panels * kPanelItems;
+  std::vector<float> panels(static_cast<size_t>(stride * kDim));
+  PackPanels(items.data(), kItems, kDim, panels.data());
+  std::vector<float> out(kUsers * stride, -1.0f);
+  ScorePanels(rows.data(), kUsers, panels.data(), 0, num_panels, kDim,
+              out.data(), stride);
   for (int64_t u = 0; u < kUsers; ++u) {
     for (int64_t i = 0; i < kItems; ++i) {
-      EXPECT_EQ(out[u * kItems + i],
+      EXPECT_EQ(out[u * stride + i],
                 ScalarDot(rows[u], items.data() + i * kDim, kDim))
           << "u=" << u << " i=" << i;
     }
@@ -156,10 +160,14 @@ TEST_F(BatchTest, BlockedScoringInvariantToBlockSizeAndStride) {
   Tensor items = MakeTable(kItems, kDim, -0.29f);
   std::vector<const float*> rows(kUsers);
   for (int64_t u = 0; u < kUsers; ++u) rows[u] = users.data() + u * kDim;
-  // Reference: a single pass over the whole table.
+  // Reference: the scalar loop over the whole table.
   std::vector<float> reference(kUsers * kItems);
-  ScoreBlock(rows.data(), kUsers, items.data(), kItems, kDim,
-             reference.data(), kItems);
+  for (int64_t u = 0; u < kUsers; ++u) {
+    for (int64_t i = 0; i < kItems; ++i) {
+      reference[u * kItems + i] =
+          ScalarDot(rows[u], items.data() + i * kDim, kDim);
+    }
+  }
   for (int64_t block : {int64_t{1}, int64_t{3}, int64_t{7}, int64_t{52},
                         int64_t{53}, int64_t{1024}}) {
     SCOPED_TRACE("block_items=" + std::to_string(block));

@@ -249,10 +249,10 @@ TEST_F(DeltaFaultTest, DeltaRoundTripCarriesOnlyChangedShards) {
     // Item 5 (shard 0, untouched) rides along in its changed shard but
     // keeps its base factors; items in never-shipped shards 1 and 3 are
     // bit-identical to the base; item 17's solved row differs.
-    EXPECT_EQ(next.item(5)[d], base_items.data()[5 * kDim + d]);
-    EXPECT_EQ(next.item(9)[d], base_items.data()[9 * kDim + d]);
-    EXPECT_EQ(next.item(29)[d], base_items.data()[29 * kDim + d]);
-    if (next.item(17)[d] != base_items.data()[17 * kDim + d]) {
+    EXPECT_EQ(next.item_value(5, d), base_items.data()[5 * kDim + d]);
+    EXPECT_EQ(next.item_value(9, d), base_items.data()[9 * kDim + d]);
+    EXPECT_EQ(next.item_value(29, d), base_items.data()[29 * kDim + d]);
+    if (next.item_value(17, d) != base_items.data()[17 * kDim + d]) {
       touched_changed = true;
     }
   }
@@ -380,7 +380,7 @@ TEST_F(DeltaFaultTest, CorruptDeltaShardKeepsOldRowsAndServesStale) {
   for (int64_t i = 16; i < 24; ++i) {
     EXPECT_TRUE(snapshot->item_available(i));
     for (int64_t d = 0; d < kDim; ++d) {
-      EXPECT_EQ(snapshot->item(i)[d], base_items.data()[i * kDim + d]);
+      EXPECT_EQ(snapshot->item_value(i, d), base_items.data()[i * kDim + d]);
     }
   }
 
@@ -465,14 +465,14 @@ TEST_F(DeltaFaultTest, CorruptBrandNewShardQuarantinesExactlyThatShard) {
   EXPECT_FALSE(next.shard_quarantined(3));
   EXPECT_FALSE(next.item_available(32));
   for (int64_t d = 0; d < kDim; ++d) {
-    EXPECT_EQ(next.item(32)[d], 0.0f);
+    EXPECT_EQ(next.item_value(32, d), 0.0f);
   }
   // The grown tail shard applied intact: base rows [24, 30) preserved.
   const Tensor base_items = ItemTable();
   for (int64_t i = 24; i < kItems; ++i) {
     EXPECT_TRUE(next.item_available(i));
     for (int64_t d = 0; d < kDim; ++d) {
-      EXPECT_EQ(next.item(i)[d], base_items.data()[i * kDim + d]);
+      EXPECT_EQ(next.item_value(i, d), base_items.data()[i * kDim + d]);
     }
   }
 

@@ -157,8 +157,12 @@ TEST(ScrapeTest, HealthzServesRecServiceHealthReport) {
   EXPECT_NE(response.find("\"brownout_level\":0"), std::string::npos);
   EXPECT_NE(response.find("\"overloaded\":false"), std::string::npos);
   EXPECT_NE(response.find("\"loaded\":false"), std::string::npos);
-  server.Stop();
+  // After Shutdown every request is refused: the most severe verdict wins.
   service.Shutdown();
+  const std::string after = Scrape(path, "GET /healthz HTTP/1.0\r\n\r\n");
+  EXPECT_NE(after.find("\"status\":\"shut_down\""), std::string::npos)
+      << after;
+  server.Stop();
 }
 
 TEST(ScrapeTest, DoubleStartIsRefusedAndTooLongPathIsIoError) {

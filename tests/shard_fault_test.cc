@@ -212,7 +212,7 @@ TEST_F(ShardFaultTest, BitFlipSweepQuarantinesExactlyTheFlippedShard) {
         // Quarantined rows are zero-filled placeholders, and checked
         // scoring refuses them instead of returning a silent 0.
         for (int64_t d = 0; d < kDim; ++d) {
-          EXPECT_EQ(snapshot.item(i)[d], 0.0f);
+          EXPECT_EQ(snapshot.item_value(i, d), 0.0f);
         }
         auto score = snapshot.ScoreChecked(2, i);
         ASSERT_FALSE(score.ok());

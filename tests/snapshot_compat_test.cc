@@ -148,13 +148,13 @@ TEST(SnapshotCompatTest, DeltaChainAppliesInOrderAndRefusesSkippedLinks) {
   EXPECT_EQ(v3.value()->version(), 3);
   EXPECT_EQ(v3.value()->base_version(), 2);
   for (int64_t d = 0; d < kDim; ++d) {
-    EXPECT_EQ(v3.value()->item(2)[d], 1.0f);
-    EXPECT_EQ(v3.value()->item(20)[d], 2.0f);
+    EXPECT_EQ(v3.value()->item_value(2, d), 1.0f);
+    EXPECT_EQ(v3.value()->item_value(20, d), 2.0f);
   }
   // Untouched rows are still the base's.
   const Tensor base_items = ItemTable();
   for (int64_t d = 0; d < kDim; ++d) {
-    EXPECT_EQ(v3.value()->item(9)[d], base_items.data()[9 * kDim + d]);
+    EXPECT_EQ(v3.value()->item_value(9, d), base_items.data()[9 * kDim + d]);
   }
   for (const auto& p : {base_path, delta12, delta23}) std::remove(p.c_str());
 }
@@ -177,7 +177,7 @@ TEST(SnapshotCompatTest, DeltaChainsOntoMonolithicBaseButNotBadGeometry) {
   ASSERT_TRUE(applied.ok()) << applied.status().ToString();
   EXPECT_EQ(applied.value()->version(), 1);
   for (int64_t d = 0; d < kDim; ++d) {
-    EXPECT_EQ(applied.value()->item(5)[d], 3.0f);
+    EXPECT_EQ(applied.value()->item_value(5, d), 3.0f);
   }
 
   // Mismatched items_per_shard: a shard index would address a different
@@ -356,7 +356,7 @@ TEST(SnapshotCompatTest, ByteCraftedDeltaFileAppliesBitExactly) {
   }
   for (int64_t i = 0; i < kCraftItems; ++i) {
     for (int64_t d = 0; d < kCraftDim; ++d) {
-      EXPECT_EQ(next.item(i)[d],
+      EXPECT_EQ(next.item_value(i, d),
                 items[static_cast<size_t>(i * kCraftDim + d)]);
     }
   }
