@@ -32,7 +32,7 @@ double FactorModelBase::TrainStep(Rng* rng) {
   optimizer_.ZeroGrad();
   Backward(loss);
   optimizer_.Step();
-  cache_valid_ = false;
+  InvalidateEvalCache();
   ++step_;
   return loss.item();
 }
@@ -42,39 +42,18 @@ int64_t FactorModelBase::StepsPerEpoch() const {
 }
 
 void FactorModelBase::PrepareScoring() const {
-  if (cache_valid_) return;
+  if (!item_panels_.empty()) return;
   ComputeEvalFactors(&user_factors_, &item_factors_);
   IMCAT_CHECK_EQ(static_cast<int64_t>(user_factors_.size()),
                  num_users_ * dim_);
   IMCAT_CHECK_EQ(static_cast<int64_t>(item_factors_.size()),
                  num_items_ * dim_);
-  cache_valid_ = true;
+  PackPanels(item_factors_.data(), num_items_, dim_, &item_panels_);
 }
 
-void FactorModelBase::ScoreItemsForUser(int64_t user,
-                                        std::vector<float>* scores) const {
-  if (!cache_valid_) PrepareScoring();
-  scores->assign(num_items_, 0.0f);
-  const float* u = user_factors_.data() + user * dim_;
-  for (int64_t v = 0; v < num_items_; ++v) {
-    const float* iv = item_factors_.data() + v * dim_;
-    float acc = 0.0f;
-    for (int64_t c = 0; c < dim_; ++c) acc += u[c] * iv[c];
-    (*scores)[v] = acc;
-  }
-}
-
-void FactorModelBase::ScoreItemsForUsers(const std::vector<int64_t>& users,
-                                         std::vector<float>* scores) const {
-  if (!cache_valid_) PrepareScoring();
-  scores->assign(users.size() * static_cast<size_t>(num_items_), 0.0f);
-  std::vector<const float*> user_rows(users.size());
-  for (size_t i = 0; i < users.size(); ++i) {
-    user_rows[i] = user_factors_.data() + users[i] * dim_;
-  }
-  ScoreAllItemsBlocked(user_rows.data(), static_cast<int64_t>(users.size()),
-                       item_factors_.data(), num_items_, dim_,
-                       kDefaultScoreBlockItems, scores->data(), num_items_);
+std::optional<ScoringFactors> FactorModelBase::Factors() const {
+  return ScoringFactors{user_factors_.data(), item_factors_.data(),
+                        item_panels_.data(), num_users_, num_items_, dim_};
 }
 
 Tensor BprLossFromScores(const Tensor& positive_scores,

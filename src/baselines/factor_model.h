@@ -32,16 +32,12 @@ class FactorModelBase : public TrainableModel {
   void set_thread_pool(ThreadPool* pool) final { pool_ = pool; }
   std::string name() const override { return name_; }
   std::vector<Tensor> Parameters() override { return parameters_; }
-  void ScoreItemsForUser(int64_t user,
-                         std::vector<float>* scores) const final;
-  /// Batched scoring through the blocked multi-user kernel
-  /// (tensor/score_kernel.h): bit-identical to the per-user loop, but the
-  /// cached item-factor table streams through cache once per batch.
-  void ScoreItemsForUsers(const std::vector<int64_t>& users,
-                          std::vector<float>* scores) const final;
-  /// Recomputes the shared factor cache up front; required before
-  /// concurrent ScoreItemsForUser calls.
+  /// Recomputes the shared factor cache and its item panels up front;
+  /// required before concurrent scoring calls.
   void PrepareScoring() const final;
+  void InvalidateEvalCache() final { item_panels_.clear(); }
+  /// The cached ComputeEvalFactors tables.
+  std::optional<ScoringFactors> Factors() const final;
 
  protected:
   /// Builds the full training loss for one step. `batch` holds the
@@ -76,9 +72,10 @@ class FactorModelBase : public TrainableModel {
   int64_t step_ = 0;
   ThreadPool* pool_ = nullptr;  ///< Optional parallel-sampling pool.
 
-  mutable bool cache_valid_ = false;
+  // Eval cache, current while item_panels_ is non-empty.
   mutable std::vector<float> user_factors_;
   mutable std::vector<float> item_factors_;
+  mutable std::vector<float> item_panels_;  ///< item_factors_, packed.
 };
 
 /// Convenience: standard BPR loss -mean log sigma(s+ - s-) given pairwise

@@ -153,11 +153,6 @@ std::string ImcatModel::name() const {
   return ImcatNameForBackbone(backbone_->name());
 }
 
-void ImcatModel::ScoreItemsForUser(int64_t user,
-                                   std::vector<float>* scores) const {
-  backbone_->ScoreItemsForUser(user, scores);
-}
-
 std::string ImcatNameForBackbone(const std::string& backbone_name) {
   if (backbone_name == "BPRMF") return "B-IMCAT";
   if (backbone_name == "NeuMF") return "N-IMCAT";

@@ -41,8 +41,15 @@ class ImcatModel : public TrainableModel {
   AdamOptimizer* optimizer() override { return &optimizer_; }
   void set_thread_pool(ThreadPool* pool) override { pool_ = pool; }
   void ScoreItemsForUser(int64_t user,
-                         std::vector<float>* scores) const override;
+                         std::vector<float>* scores) const override {
+    backbone_->ScoreItemsForUser(user, scores);
+  }
   void PrepareScoring() const override { backbone_->PrepareScoring(); }
+  void InvalidateEvalCache() override { backbone_->InvalidateEvalCache(); }
+  /// The backbone's factors: IMCAT scores with the backbone alone.
+  std::optional<ScoringFactors> Factors() const override {
+    return backbone_->Factors();
+  }
 
   /// Accessors for analysis / examples.
   Backbone* backbone() { return backbone_.get(); }

@@ -3,21 +3,43 @@
 #include <algorithm>
 #include <limits>
 
+#include "tensor/score_kernel.h"
 #include "util/check.h"
 
 namespace imcat {
 
+void Ranker::ScoreItemsForUser(int64_t user,
+                               std::vector<float>* scores) const {
+  // Without factors, ScoreItemsForUsers would loop back into this default.
+  IMCAT_CHECK(Factors().has_value());
+  ScoreItemsForUsers({user}, scores);
+}
+
 void Ranker::ScoreItemsForUsers(const std::vector<int64_t>& users,
                                 std::vector<float>* scores) const {
-  // Fallback for rankers without a batched kernel: one scalar scoring
-  // pass per user, copied into the batch layout. Bit-identical to calling
-  // ScoreItemsForUser directly, by construction.
-  scores->clear();
-  std::vector<float> row;
-  for (size_t i = 0; i < users.size(); ++i) {
-    ScoreItemsForUser(users[i], &row);
-    scores->insert(scores->end(), row.begin(), row.end());
+  PrepareScoring();
+  const std::optional<ScoringFactors> factors = Factors();
+  if (!factors.has_value()) {
+    // Not an inner product: one ScoreItemsForUser pass per user, copied
+    // into the batch layout.
+    scores->clear();
+    std::vector<float> row;
+    for (int64_t user : users) {
+      ScoreItemsForUser(user, &row);
+      scores->insert(scores->end(), row.begin(), row.end());
+    }
+    return;
   }
+  const ScoringFactors& f = *factors;
+  scores->resize(users.size() * static_cast<size_t>(f.num_items));
+  std::vector<const float*> user_rows(users.size());
+  for (size_t i = 0; i < users.size(); ++i) {
+    IMCAT_CHECK(users[i] >= 0 && users[i] < f.num_users);
+    user_rows[i] = f.users + users[i] * f.dim;
+  }
+  ScorePanelsBlocked(user_rows.data(), static_cast<int64_t>(users.size()),
+                     f.item_panels, f.num_items, f.dim,
+                     kDefaultScoreBlockItems, scores->data(), f.num_items);
 }
 
 Evaluator::Evaluator(const Dataset& dataset, const DataSplit& split)
@@ -64,25 +86,40 @@ std::vector<int64_t> Evaluator::TopNForUser(const Ranker& ranker, int64_t user,
 
 std::vector<int64_t> Evaluator::TopNFromScores(int64_t user, float* scores,
                                                int top_n) const {
-  for (int64_t v : train_items_[user]) {
-    scores[v] = -std::numeric_limits<float>::infinity();
-  }
+  constexpr float kMasked = -std::numeric_limits<float>::infinity();
+  for (int64_t v : train_items_[user]) scores[v] = kMasked;
   const int64_t limit = std::min<int64_t>(top_n, num_items_);
-  std::vector<int64_t> order(num_items_);
-  for (int64_t i = 0; i < num_items_; ++i) order[i] = i;
-  std::partial_sort(order.begin(), order.begin() + limit, order.end(),
-                    [scores](int64_t a, int64_t b) {
-                      if (scores[a] != scores[b]) return scores[a] > scores[b];
-                      return a < b;  // Deterministic tie-break.
-                    });
-  order.resize(limit);
+  if (limit <= 0) return {};
+  // Bounded selection in ascending id order under (score desc, id asc).
+  // `kept` is a heap whose front is the worst item kept so far; a later
+  // item has a larger id, so it loses every tie and displaces the front
+  // only when it scores strictly higher.
+  struct Entry {
+    float score;
+    int64_t item;
+  };
+  const auto better = [](const Entry& a, const Entry& b) {
+    return a.score != b.score ? a.score > b.score : a.item < b.item;
+  };
+  std::vector<Entry> kept;
+  kept.reserve(static_cast<size_t>(limit));
+  for (int64_t v = 0; v < limit; ++v) kept.push_back({scores[v], v});
+  std::make_heap(kept.begin(), kept.end(), better);
+  float threshold = kept.front().score;
+  for (int64_t v = limit; v < num_items_; ++v) {
+    if (!(scores[v] > threshold)) continue;
+    std::pop_heap(kept.begin(), kept.end(), better);
+    kept.back() = {scores[v], v};
+    std::push_heap(kept.begin(), kept.end(), better);
+    threshold = kept.front().score;
+  }
+  std::sort_heap(kept.begin(), kept.end(), better);  // Best first.
   // Truncate masked (training) items: when top_n exceeds the number of
   // unseen items they would otherwise pad the tail of the list.
-  while (!order.empty() &&
-         scores[order.back()] == -std::numeric_limits<float>::infinity()) {
-    order.pop_back();
-  }
-  return order;
+  while (!kept.empty() && kept.back().score == kMasked) kept.pop_back();
+  std::vector<int64_t> top(kept.size());
+  for (size_t i = 0; i < kept.size(); ++i) top[i] = kept[i].item;
+  return top;
 }
 
 void Evaluator::set_batch_users(int64_t batch_users) {

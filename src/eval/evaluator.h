@@ -1,6 +1,7 @@
 #ifndef IMCAT_EVAL_EVALUATOR_H_
 #define IMCAT_EVAL_EVALUATOR_H_
 
+#include <optional>
 #include <vector>
 
 #include "data/dataset.h"
@@ -13,50 +14,80 @@
 /// Full-ranking evaluation (Sec. V-B): for every user with held-out items,
 /// score all items, mask the user's training items, take the top N and
 /// average the ranking metrics over users. Scoring runs in user batches
-/// through Ranker::ScoreItemsForUsers (the blocked multi-user kernel for
-/// inner-product rankers, DESIGN.md §12) and parallelizes per user block
-/// over a ThreadPool with a reduction that is deterministic by
-/// construction: per-user metrics are written into slots owned by the
-/// user's position and accumulated serially in index order afterwards, so
-/// the EvalResult — floating-point summation order included — is
-/// bit-identical to the serial per-user path at any thread count and any
-/// batch size.
+/// through Ranker::ScoreItemsForUsers (for inner-product rankers, the
+/// panel kernel over the ranker's scoring factors, DESIGN.md §12) and
+/// parallelizes per user block over a ThreadPool with a reduction that is
+/// deterministic by construction: per-user metrics are written into slots
+/// owned by the user's position and accumulated serially in index order
+/// afterwards, so the EvalResult — floating-point summation order included
+/// — is bit-identical to the serial per-user path at any thread count and
+/// any batch size.
 
 namespace imcat {
 
+/// The factor tables an inner-product ranker scores with: the score of
+/// (user u, item i) is `sum_c users[u * dim + c] * items[i * dim + c]`,
+/// accumulated over ascending c in plain fp32. `item_panels` holds `items`
+/// packed into NumPanels(num_items) 16-item panels (tensor/score_kernel.h),
+/// the layout ScorePanels reads; the owner packs it once per eval-cache
+/// refresh. The pointers are valid from PrepareScoring() until the next
+/// InvalidateEvalCache() or parameter update.
+struct ScoringFactors {
+  const float* users = nullptr;        ///< num_users x dim, row-major.
+  const float* items = nullptr;        ///< num_items x dim, row-major.
+  const float* item_panels = nullptr;  ///< `items` as packed panels.
+  int64_t num_users = 0;
+  int64_t num_items = 0;
+  int64_t dim = 0;
+};
+
 /// Anything that can score the full item catalogue for a user. Implemented
-/// by every model in the library.
+/// by every model in the library. Inner-product rankers only expose their
+/// factors (Factors()) and inherit the scoring; other rankers (NeuMF)
+/// override ScoreItemsForUser.
 class Ranker {
  public:
   virtual ~Ranker() = default;
 
   /// Writes a relevance score for every item (resizing `scores` to the
   /// item count). Higher is better. Must not depend on held-out data.
+  /// Default: ScoreItemsForUsers for this one user; a ranker without
+  /// Factors() must override it.
   ///
   /// Thread-safety contract: after PrepareScoring() has returned, and
   /// until the next parameter update, concurrent calls for distinct users
   /// must be safe — the parallel evaluator calls this from many threads.
   virtual void ScoreItemsForUser(int64_t user,
-                                 std::vector<float>* scores) const = 0;
+                                 std::vector<float>* scores) const;
 
   /// Batched variant: scores every item for each of `users`, writing
   /// user i's scores at `(*scores)[i * num_items .. (i+1) * num_items)`
-  /// (the vector is resized to users.size() * num_items). The default
-  /// loops over ScoreItemsForUser; inner-product rankers override it with
-  /// the blocked multi-user kernel (tensor/score_kernel.h) so the item
-  /// table streams through cache once per batch instead of once per user.
-  /// Overrides must be bit-identical to the per-user path — the evaluator
-  /// relies on it (same ascending-dim fp32 accumulation per pair).
-  /// Same thread-safety contract as ScoreItemsForUser.
+  /// (the vector is resized to users.size() * num_items). With Factors(),
+  /// the panel kernel (tensor/score_kernel.h) scores the whole batch
+  /// against each cache-resident block of item panels; otherwise this
+  /// loops over ScoreItemsForUser. Either way every score is the same
+  /// ascending-dim fp32 accumulation as the per-user path, bit for bit —
+  /// the evaluator relies on it. Same thread-safety contract as
+  /// ScoreItemsForUser.
   virtual void ScoreItemsForUsers(const std::vector<int64_t>& users,
                                   std::vector<float>* scores) const;
 
   /// Builds any lazily derived evaluation state (propagated factor
-  /// caches, ...) up front. Rankers whose ScoreItemsForUser would
-  /// otherwise materialise a shared cache on first call must override
-  /// this so the cache is built once, single-threaded, before the
-  /// parallel fan-out. Default: nothing to prepare.
+  /// caches, packed item panels, ...) up front, so it is built once,
+  /// single-threaded, before the parallel fan-out. Cheap when the state
+  /// is current. Default: nothing to prepare.
   virtual void PrepareScoring() const {}
+
+  /// Drops the evaluation state PrepareScoring built; call after any
+  /// change to the parameters (an optimiser step, a restore).
+  virtual void InvalidateEvalCache() {}
+
+  /// The scoring factors of an inner-product ranker (see ScoringFactors),
+  /// or nullopt for a ranker that does not score by one inner product.
+  /// Valid after PrepareScoring(). Default: nullopt.
+  virtual std::optional<ScoringFactors> Factors() const {
+    return std::nullopt;
+  }
 };
 
 /// Averaged metrics over the evaluated users.
@@ -92,10 +123,13 @@ class Evaluator {
 
   /// Rank from precomputed scores: masks `user`'s training items to -inf
   /// in `scores` (one full-catalogue row, mutated in place) and returns
-  /// the top-N ids (score desc, id asc; masked-tail truncated). The
-  /// batched Evaluate path calls this once per user on its slice of the
-  /// multi-user score buffer; TopNForUser is this after a scalar scoring
-  /// call, so the two paths rank identically by construction.
+  /// the top-N ids (score desc, id asc; masked-tail truncated). One pass
+  /// over the row keeps an N-entry heap, admitting an item only when it
+  /// scores strictly above the current N-th (ids ascend, so ties lose).
+  /// The batched Evaluate path calls this once per user on its slice of
+  /// the multi-user score buffer; TopNForUser is this after a
+  /// ScoreItemsForUser call, so the two paths rank identically by
+  /// construction.
   std::vector<int64_t> TopNFromScores(int64_t user, float* scores,
                                       int top_n) const;
 

@@ -35,11 +35,6 @@ std::vector<Tensor> BprModel::Parameters() { return backbone_->Parameters(); }
 
 std::string BprModel::name() const { return backbone_->name(); }
 
-void BprModel::ScoreItemsForUser(int64_t user,
-                                 std::vector<float>* scores) const {
-  backbone_->ScoreItemsForUser(user, scores);
-}
-
 Tensor BprLossFromBackbone(Backbone* backbone, const TripletBatch& batch) {
   Tensor pos = backbone->PairScores(batch.anchors, batch.positives);
   Tensor neg = backbone->PairScores(batch.anchors, batch.negatives);

@@ -28,8 +28,9 @@ namespace imcat {
 /// then UserEmbeddings()/ItemEmbeddings()/PairScores() return
 /// graph-connected tensors whose gradients flow to Parameters().
 ///
-/// Evaluation-time contract: ScoreItemsForUser() is a forward-only fast
-/// path; implementations cache derived state and must have the cache
+/// Evaluation-time contract: scoring is a forward-only fast path (for
+/// inner-product backbones, Ranker's panel kernel over Factors());
+/// implementations cache derived state and must have the cache
 /// invalidated (InvalidateEvalCache) whenever parameters change.
 class Backbone : public Ranker {
  public:
@@ -56,9 +57,6 @@ class Backbone : public Ranker {
 
   /// All trainable tensors.
   virtual std::vector<Tensor> Parameters() = 0;
-
-  /// Drops any cached evaluation state (call after parameter updates).
-  virtual void InvalidateEvalCache() {}
 };
 
 /// Options shared by the bundled backbones.
@@ -85,12 +83,14 @@ class BprModel : public TrainableModel {
   AdamOptimizer* optimizer() override { return &optimizer_; }
   void set_thread_pool(ThreadPool* pool) override { pool_ = pool; }
   void ScoreItemsForUser(int64_t user,
-                         std::vector<float>* scores) const override;
-  void ScoreItemsForUsers(const std::vector<int64_t>& users,
-                          std::vector<float>* scores) const override {
-    backbone_->ScoreItemsForUsers(users, scores);
+                         std::vector<float>* scores) const override {
+    backbone_->ScoreItemsForUser(user, scores);
   }
   void PrepareScoring() const override { backbone_->PrepareScoring(); }
+  void InvalidateEvalCache() override { backbone_->InvalidateEvalCache(); }
+  std::optional<ScoringFactors> Factors() const override {
+    return backbone_->Factors();
+  }
 
   Backbone* backbone() { return backbone_.get(); }
 

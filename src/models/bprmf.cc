@@ -24,29 +24,15 @@ Tensor Bprmf::PairScores(const std::vector<int64_t>& users,
 
 std::vector<Tensor> Bprmf::Parameters() { return {user_table_, item_table_}; }
 
-void Bprmf::ScoreItemsForUser(int64_t user,
-                              std::vector<float>* scores) const {
-  scores->assign(num_items_, 0.0f);
-  const float* u = user_table_.data() + user * dim_;
-  const float* items = item_table_.data();
-  for (int64_t v = 0; v < num_items_; ++v) {
-    const float* iv = items + v * dim_;
-    float acc = 0.0f;
-    for (int64_t c = 0; c < dim_; ++c) acc += u[c] * iv[c];
-    (*scores)[v] = acc;
+void Bprmf::PrepareScoring() const {
+  if (item_panels_.empty()) {
+    PackPanels(item_table_.data(), num_items_, dim_, &item_panels_);
   }
 }
 
-void Bprmf::ScoreItemsForUsers(const std::vector<int64_t>& users,
-                               std::vector<float>* scores) const {
-  scores->assign(users.size() * static_cast<size_t>(num_items_), 0.0f);
-  std::vector<const float*> user_rows(users.size());
-  for (size_t i = 0; i < users.size(); ++i) {
-    user_rows[i] = user_table_.data() + users[i] * dim_;
-  }
-  ScoreAllItemsBlocked(user_rows.data(), static_cast<int64_t>(users.size()),
-                       item_table_.data(), num_items_, dim_,
-                       kDefaultScoreBlockItems, scores->data(), num_items_);
+std::optional<ScoringFactors> Bprmf::Factors() const {
+  return ScoringFactors{user_table_.data(), item_table_.data(),
+                        item_panels_.data(), num_users_, num_items_, dim_};
 }
 
 }  // namespace imcat

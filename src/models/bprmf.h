@@ -28,12 +28,11 @@ class Bprmf : public Backbone {
                     const std::vector<int64_t>& items) override;
   std::vector<Tensor> Parameters() override;
 
-  void ScoreItemsForUser(int64_t user,
-                         std::vector<float>* scores) const override;
-  /// Batched scoring via the blocked multi-user kernel
-  /// (tensor/score_kernel.h); bit-identical to the per-user loop.
-  void ScoreItemsForUsers(const std::vector<int64_t>& users,
-                          std::vector<float>* scores) const override;
+  /// Packs the item table into panels (once per parameter update).
+  void PrepareScoring() const override;
+  void InvalidateEvalCache() override { item_panels_.clear(); }
+  /// The raw user and item tables.
+  std::optional<ScoringFactors> Factors() const override;
 
  private:
   int64_t num_users_;
@@ -41,6 +40,7 @@ class Bprmf : public Backbone {
   int64_t dim_;
   Tensor user_table_;
   Tensor item_table_;
+  mutable std::vector<float> item_panels_;  ///< item_table_, packed.
 };
 
 }  // namespace imcat

@@ -4,6 +4,7 @@
 
 #include "tensor/init.h"
 #include "tensor/ops.h"
+#include "tensor/score_kernel.h"
 
 namespace imcat {
 
@@ -76,21 +77,14 @@ void LightGcn::RefreshEvalCache() const {
   const float scale = 1.0f / static_cast<float>(num_layers_ + 1);
   for (float& v : sum) v *= scale;
   eval_factors_ = std::move(sum);
-  eval_cache_valid_ = true;
+  PackPanels(eval_factors_.data() + num_users_ * dim_, num_items_, dim_,
+             &item_panels_);
 }
 
-void LightGcn::ScoreItemsForUser(int64_t user,
-                                 std::vector<float>* scores) const {
-  if (!eval_cache_valid_) RefreshEvalCache();
-  scores->assign(num_items_, 0.0f);
-  const float* u = eval_factors_.data() + user * dim_;
-  const float* items = eval_factors_.data() + num_users_ * dim_;
-  for (int64_t v = 0; v < num_items_; ++v) {
-    const float* iv = items + v * dim_;
-    float acc = 0.0f;
-    for (int64_t c = 0; c < dim_; ++c) acc += u[c] * iv[c];
-    (*scores)[v] = acc;
-  }
+std::optional<ScoringFactors> LightGcn::Factors() const {
+  return ScoringFactors{eval_factors_.data(),
+                        eval_factors_.data() + num_users_ * dim_,
+                        item_panels_.data(), num_users_, num_items_, dim_};
 }
 
 }  // namespace imcat

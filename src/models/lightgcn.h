@@ -37,14 +37,14 @@ class LightGcn : public Backbone {
                     const std::vector<int64_t>& items) override;
   std::vector<Tensor> Parameters() override;
 
-  void ScoreItemsForUser(int64_t user,
-                         std::vector<float>* scores) const override;
-  /// Builds the propagated factor cache up front; required before
-  /// concurrent ScoreItemsForUser calls (the cache is shared state).
+  /// Builds the propagated factor tables and their item panels up front;
+  /// required before concurrent scoring (the cache is shared state).
   void PrepareScoring() const override {
-    if (!eval_cache_valid_) RefreshEvalCache();
+    if (item_panels_.empty()) RefreshEvalCache();
   }
-  void InvalidateEvalCache() override { eval_cache_valid_ = false; }
+  void InvalidateEvalCache() override { item_panels_.clear(); }
+  /// The propagated (layer-averaged) user and item tables.
+  std::optional<ScoringFactors> Factors() const override;
 
   int num_layers() const { return num_layers_; }
 
@@ -62,8 +62,9 @@ class LightGcn : public Backbone {
   Tensor item_final_;       ///< Per-step propagated item table.
   bool propagated_ = false;
 
-  mutable bool eval_cache_valid_ = false;
+  // Eval cache, current while item_panels_ is non-empty.
   mutable std::vector<float> eval_factors_;  ///< (U+V x d) propagated, raw.
+  mutable std::vector<float> item_panels_;   ///< Item rows, packed.
 };
 
 }  // namespace imcat

@@ -363,8 +363,7 @@ Status WriteShardedSnapshot(const std::string& path, const Tensor& users,
                             const Tensor& items,
                             const ShardedSnapshotOptions& options) {
   IMCAT_CHECK(users.defined() && items.defined());
-  if (users.rows() <= 0 || items.rows() <= 0 || users.cols() <= 0 ||
-      users.cols() != items.cols()) {
+  if (users.cols() != items.cols()) {
     return Status::InvalidArgument(
         path + ": sharded snapshot needs factor matrices over one embedding "
                "dimension, got user table " +
@@ -372,15 +371,27 @@ Status WriteShardedSnapshot(const std::string& path, const Tensor& users,
         " and item table " + std::to_string(items.rows()) + "x" +
         std::to_string(items.cols()));
   }
+  return WriteShardedSnapshot(path, users.data(), users.rows(), items.data(),
+                              items.rows(), users.cols(), options);
+}
+
+Status WriteShardedSnapshot(const std::string& path, const float* users,
+                            int64_t num_users, const float* items,
+                            int64_t num_items, int64_t dim,
+                            const ShardedSnapshotOptions& options) {
+  if (num_users <= 0 || num_items <= 0 || dim <= 0) {
+    return Status::InvalidArgument(
+        path + ": sharded snapshot needs non-empty factor matrices, got " +
+        std::to_string(num_users) + " users and " +
+        std::to_string(num_items) + " items of dimension " +
+        std::to_string(dim));
+  }
   if (options.items_per_shard <= 0) {
     return Status::InvalidArgument(path + ": items_per_shard must be > 0");
   }
   if (options.version < 0) {
     return Status::InvalidArgument(path + ": snapshot version must be >= 0");
   }
-  const int64_t num_users = users.rows();
-  const int64_t num_items = items.rows();
-  const int64_t dim = users.cols();
   const int64_t items_per_shard = options.items_per_shard;
   const int64_t num_shards =
       (num_items + items_per_shard - 1) / items_per_shard;
@@ -405,7 +416,7 @@ Status WriteShardedSnapshot(const std::string& path, const Tensor& users,
   IMCAT_RETURN_IF_ERROR(WriteValue(&out, &hash, payload_start));
   IMCAT_RETURN_IF_ERROR(WriteValue(&out, &hash, user_bytes));
   IMCAT_RETURN_IF_ERROR(WriteValue(
-      &out, &hash, Fnv1aHash(users.data(), static_cast<size_t>(user_bytes))));
+      &out, &hash, Fnv1aHash(users, static_cast<size_t>(user_bytes))));
 
   // Item-shard entries, payload laid out contiguously after the user table.
   int64_t offset = payload_start + user_bytes;
@@ -419,7 +430,7 @@ Status WriteShardedSnapshot(const std::string& path, const Tensor& users,
     IMCAT_RETURN_IF_ERROR(WriteValue(&out, &hash, bytes));
     IMCAT_RETURN_IF_ERROR(WriteValue(
         &out, &hash,
-        Fnv1aHash(items.data() + begin * dim, static_cast<size_t>(bytes))));
+        Fnv1aHash(items + begin * dim, static_cast<size_t>(bytes))));
     offset += bytes;
   }
   const uint64_t manifest_checksum = hash.value();
@@ -428,12 +439,12 @@ Status WriteShardedSnapshot(const std::string& path, const Tensor& users,
 
   // Payload: user table, then each shard in order.
   IMCAT_RETURN_IF_ERROR(
-      out.Write(users.data(), static_cast<size_t>(user_bytes)));
+      out.Write(users, static_cast<size_t>(user_bytes)));
   for (int64_t s = 0; s < num_shards; ++s) {
     const int64_t begin = s * items_per_shard;
     const int64_t end = std::min(begin + items_per_shard, num_items);
     IMCAT_RETURN_IF_ERROR(
-        out.Write(items.data() + begin * dim,
+        out.Write(items + begin * dim,
                   static_cast<size_t>((end - begin) * row_bytes)));
   }
   return out.Commit();

@@ -229,6 +229,13 @@ Status WriteShardedSnapshot(const std::string& path, const Tensor& users,
                             const Tensor& items,
                             const ShardedSnapshotOptions& options = {});
 
+/// Same, from row-major buffers (`users` num_users x dim, `items`
+/// num_items x dim).
+Status WriteShardedSnapshot(const std::string& path, const float* users,
+                            int64_t num_users, const float* items,
+                            int64_t num_items, int64_t dim,
+                            const ShardedSnapshotOptions& options = {});
+
 /// Reads and fully validates only the manifest (geometry + manifest
 /// checksum); payload bytes are not touched. For inspection and tests.
 StatusOr<ShardManifest> ReadShardedSnapshotManifest(const std::string& path);

@@ -129,6 +129,12 @@ void PackPanels(const float* rows, int64_t num_items, int64_t dim,
   }
 }
 
+void PackPanels(const float* rows, int64_t num_items, int64_t dim,
+                std::vector<float>* panels) {
+  panels->resize(static_cast<size_t>(NumPanels(num_items) * kPanelItems * dim));
+  PackPanels(rows, num_items, dim, panels->data());
+}
+
 void PackPanelsInPlace(std::vector<float>* table, int64_t num_items,
                        int64_t dim) {
   IMCAT_CHECK(static_cast<int64_t>(table->size()) == num_items * dim);
@@ -165,25 +171,28 @@ void ScorePanels(const float* const* user_rows, int64_t num_users,
                          dim, out, out_stride);
 }
 
-void ScoreAllItemsBlocked(const float* const* user_rows, int64_t num_users,
-                          const float* item_table, int64_t num_items,
-                          int64_t dim, int64_t block_items, float* out,
-                          int64_t out_stride) {
+void ScorePanelsBlocked(const float* const* user_rows, int64_t num_users,
+                        const float* panels, int64_t num_items, int64_t dim,
+                        int64_t block_items, float* out, int64_t out_stride) {
   IMCAT_CHECK(block_items > 0);
   IMCAT_CHECK(out_stride >= num_items);
-  const int64_t block_panels = NumPanels(std::min(block_items, num_items));
-  const int64_t scratch_stride = block_panels * kPanelItems;
-  std::vector<float> panels(static_cast<size_t>(scratch_stride * dim));
-  std::vector<float> scores(static_cast<size_t>(num_users * scratch_stride));
-  for (int64_t begin = 0; begin < num_items; begin += block_items) {
-    const int64_t count = std::min(block_items, num_items - begin);
-    PackPanels(item_table + begin * dim, count, dim, panels.data());
-    ScorePanels(user_rows, num_users, panels.data(), 0, NumPanels(count),
-                dim, scores.data(), scratch_stride);
-    for (int64_t u = 0; u < num_users; ++u) {
-      std::copy_n(scores.data() + u * scratch_stride, count,
-                  out + u * out_stride + begin);
-    }
+  // Whole panels write straight into the output rows; the zero-padded
+  // tail panel goes through a one-panel scratch so no row is overrun.
+  const int64_t full_panels = num_items / kPanelItems;
+  const int64_t block_panels = NumPanels(block_items);
+  for (int64_t p = 0; p < full_panels; p += block_panels) {
+    ScorePanels(user_rows, num_users, panels, p,
+                std::min(block_panels, full_panels - p), dim,
+                out + p * kPanelItems, out_stride);
+  }
+  const int64_t tail = num_items - full_panels * kPanelItems;
+  if (tail == 0) return;
+  std::vector<float> scratch(static_cast<size_t>(num_users * kPanelItems));
+  ScorePanels(user_rows, num_users, panels, full_panels, 1, dim,
+              scratch.data(), kPanelItems);
+  for (int64_t u = 0; u < num_users; ++u) {
+    std::copy_n(scratch.data() + u * kPanelItems, tail,
+                out + u * out_stride + full_panels * kPanelItems);
   }
 }
 

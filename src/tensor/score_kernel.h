@@ -57,6 +57,11 @@ inline int64_t PanelOffset(int64_t i, int64_t c, int64_t dim) {
 void PackPanels(const float* rows, int64_t num_items, int64_t dim,
                 float* panels);
 
+/// Same, into `panels` resized to the packed size (its capacity is reused,
+/// so repacking a table of the same shape allocates nothing).
+void PackPanels(const float* rows, int64_t num_items, int64_t dim,
+                std::vector<float>* panels);
+
 /// Packs a row-major table (`num_items x dim`) into panels in place, one
 /// panel at a time through a `kPanelItems x dim` temporary, and grows it to
 /// `NumPanels(num_items) * kPanelItems * dim` floats (zero tail lanes). No
@@ -97,15 +102,14 @@ void ScorePanels(const float* const* user_rows, int64_t num_users,
                  const float* panels, int64_t first_panel, int64_t num_panels,
                  int64_t dim, float* out, int64_t out_stride);
 
-/// Full-catalogue scoring from a row-major `item_table` (num_items x dim):
-/// packs each block of `block_items` items into a scratch panel table and
-/// runs ScorePanels on it, so each block stays cache-resident across the
-/// user batch. Scores land at `out[u * out_stride + i]` (`out_stride` >=
+/// Full-catalogue scoring from a panel table (`NumPanels(num_items)`
+/// panels): ScorePanels over blocks of `block_items` items (rounded up to
+/// whole panels), so each block stays cache-resident across the user
+/// batch. Scores land at `out[u * out_stride + i]` (`out_stride` >=
 /// num_items); columns past num_items are left untouched.
-void ScoreAllItemsBlocked(const float* const* user_rows, int64_t num_users,
-                          const float* item_table, int64_t num_items,
-                          int64_t dim, int64_t block_items, float* out,
-                          int64_t out_stride);
+void ScorePanelsBlocked(const float* const* user_rows, int64_t num_users,
+                        const float* panels, int64_t num_items, int64_t dim,
+                        int64_t block_items, float* out, int64_t out_stride);
 
 }  // namespace imcat
 

@@ -31,6 +31,7 @@ void RestoreParameters(TrainableModel* model,
     std::memcpy(params[i].data(), snapshot[i].data(),
                 snapshot[i].size() * sizeof(float));
   }
+  model->InvalidateEvalCache();
 }
 
 bool FileExists(const std::string& path) {
@@ -171,6 +172,7 @@ TrainHistory Trainer::Fit(TrainableModel* model,
     bool has_state = false;
     Status st = LoadTrainingCheckpoint(options.resume_path, &params, &state,
                                        &has_state);
+    model->InvalidateEvalCache();
     if (!st.ok()) {
       history.status = st;
       finish_run();
@@ -447,18 +449,19 @@ TrainHistory Trainer::Fit(TrainableModel* model,
 
 Status ExportServingCheckpoint(TrainableModel* model, const std::string& path,
                                const ServingExportOptions& options) {
-  std::vector<Tensor> params = model->Parameters();
-  // Factor models export as a sharded snapshot; anything else (extra
-  // towers, projection heads) keeps the monolithic v2 layout, which the
-  // snapshot loader also accepts.
-  if (params.size() == 2 && params[0].rows() > 0 && params[1].rows() > 0 &&
-      params[0].cols() > 0 && params[0].cols() == params[1].cols()) {
-    ShardedSnapshotOptions sharded;
-    sharded.items_per_shard = options.items_per_shard;
-    sharded.version = options.version;
-    return WriteShardedSnapshot(path, params[0], params[1], sharded);
+  model->PrepareScoring();
+  const std::optional<ScoringFactors> factors = model->Factors();
+  if (!factors.has_value()) {
+    return Status::FailedPrecondition(
+        model->name() + " has no scoring factors (it does not score by one "
+                        "inner product), so the serving layer cannot score it");
   }
-  return SaveCheckpoint(path, params);
+  ShardedSnapshotOptions sharded;
+  sharded.items_per_shard = options.items_per_shard;
+  sharded.version = options.version;
+  return WriteShardedSnapshot(path, factors->users, factors->num_users,
+                              factors->items, factors->num_items, factors->dim,
+                              sharded);
 }
 
 Status ExportServingCheckpoint(TrainableModel* model,
@@ -468,22 +471,11 @@ Status ExportServingCheckpoint(TrainableModel* model,
 
 Status ExportServingCheckpoint(TrainableModel* model, SnapshotStore* store,
                                const ServingExportOptions& options) {
-  std::vector<Tensor> params = model->Parameters();
-  if (params.size() != 2 || params[0].rows() <= 0 || params[1].rows() <= 0 ||
-      params[0].cols() <= 0 || params[0].cols() != params[1].cols()) {
-    return Status::InvalidArgument(
-        "store-routed serving export requires the two-tensor factor "
-        "layout (user table, item table); export this model with the "
-        "path-based ExportServingCheckpoint instead");
-  }
-  const int64_t version =
-      options.version > 0 ? options.version : store->NextVersion();
-  ShardedSnapshotOptions sharded;
-  sharded.items_per_shard = options.items_per_shard;
-  sharded.version = version;
-  IMCAT_RETURN_IF_ERROR(WriteShardedSnapshot(store->FullPath(version),
-                                             params[0], params[1], sharded));
-  return store->CommitFull(version);
+  ServingExportOptions versioned = options;
+  if (versioned.version <= 0) versioned.version = store->NextVersion();
+  IMCAT_RETURN_IF_ERROR(ExportServingCheckpoint(
+      model, store->FullPath(versioned.version), versioned));
+  return store->CommitFull(versioned.version);
 }
 
 }  // namespace imcat

@@ -170,13 +170,13 @@ struct ServingExportOptions {
   int64_t version = 0;
 };
 
-/// Exports the model's current parameters for the serving layer (atomic
-/// write, checksummed). Factor models — exactly two parameter tensors over
-/// one embedding dimension, the user table then the item table — are
-/// written in the sharded v3 snapshot format (per-shard checksums, so the
+/// Exports the model's scoring factors (Ranker::Factors(): the user and
+/// item tables its scores are the inner products of — LightGCN's
+/// propagated ones, IMCAT's backbone's) for the serving layer, in the
+/// sharded v3 snapshot format (atomic write, per-shard checksums, so the
 /// serving layer can quarantine corruption instead of rejecting the whole
-/// catalogue); any other parameter layout falls back to a monolithic v2
-/// checkpoint. Both layouts are what `EmbeddingSnapshot::Load` expects.
+/// catalogue). A model without factors (NeuMF, N-IMCAT) is refused with
+/// kFailedPrecondition: the serving layer scores only inner products.
 Status ExportServingCheckpoint(TrainableModel* model, const std::string& path,
                                const ServingExportOptions& options);
 
@@ -188,10 +188,8 @@ class SnapshotStore;
 /// Store-routed export (serve/snapshot_store.h): the snapshot is written
 /// to the store's versioned path — `options.version` when assigned (> 0),
 /// else the store's NextVersion() — and registered in the store manifest,
-/// so the file participates in startup recovery and retention GC. Only
-/// the two-tensor factor layout can be store-managed (the store validates
-/// artifacts by their sharded manifests); other layouts get
-/// kInvalidArgument and must use the path-based export above.
+/// so the file participates in startup recovery and retention GC. Same
+/// refusal as above.
 Status ExportServingCheckpoint(TrainableModel* model, SnapshotStore* store,
                                const ServingExportOptions& options = {});
 

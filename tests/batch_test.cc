@@ -2,17 +2,20 @@
 // under TSan by scripts/check.sh --kernel). Pins the three contracts the
 // batched hot path rests on (DESIGN.md §12):
 //
-//  1. Kernel bit-identity: ScorePanels / ScoreAllItemsBlocked produce the
+//  1. Kernel bit-identity: ScorePanels / ScorePanelsBlocked produce the
 //     exact fp32 values of the scalar ascending-dim dot loop for any batch
-//     size, block size and output stride, as do the batched ranker
-//     overrides built on them (Bprmf) and the batched Evaluator fan-out.
+//     size, block size and output stride, as do Ranker's batched factor
+//     path (Bprmf) and the batched Evaluator fan-out.
 //  2. TopKBatch result-identity: for every query of a batch the status,
 //     the ranked items (scores bit-equal, score-desc/id-asc order), the
 //     quarantine skip counts and the between-block deadline behaviour are
-//     identical to running the scalar TopK per user — swept over shapes,
-//     batch sizes, ranges, exclusions, brownout budgets and a quarantined
-//     shard, plus a fake-clock mid-batch expiry where one query dies at a
-//     block boundary while the rest keep scoring.
+//     identical to running the scalar TopK per user, and the ranked items
+//     equal a row-major brute force over the source tables (TopK shares
+//     TopKBatch's code, so only the brute force can see a scoring or
+//     selection fault) — swept over shapes, batch sizes, ranges,
+//     exclusions, brownout budgets and a quarantined shard, plus a
+//     fake-clock mid-batch expiry where one query dies at a block boundary
+//     while the rest keep scoring.
 //  3. Service coalescing: with max_batch_size > 1 queued compatible
 //     requests drain into one multi-user pass; every future still
 //     resolves definite, shutdown with a queued batch leaks nothing, and
@@ -168,14 +171,16 @@ TEST_F(BatchTest, BlockedScoringInvariantToBlockSizeAndStride) {
           ScalarDot(rows[u], items.data() + i * kDim, kDim);
     }
   }
+  std::vector<float> panels;
+  PackPanels(items.data(), kItems, kDim, &panels);
   for (int64_t block : {int64_t{1}, int64_t{3}, int64_t{7}, int64_t{52},
                         int64_t{53}, int64_t{1024}}) {
     SCOPED_TRACE("block_items=" + std::to_string(block));
     // Wider-than-needed stride: the tail must stay untouched.
     const int64_t stride = kItems + 11;
     std::vector<float> out(kUsers * stride, 7.5f);
-    ScoreAllItemsBlocked(rows.data(), kUsers, items.data(), kItems, kDim,
-                         block, out.data(), stride);
+    ScorePanelsBlocked(rows.data(), kUsers, panels.data(), kItems, kDim,
+                       block, out.data(), stride);
     for (int64_t u = 0; u < kUsers; ++u) {
       for (int64_t i = 0; i < kItems; ++i) {
         EXPECT_EQ(out[u * stride + i], reference[u * kItems + i]);
@@ -270,9 +275,42 @@ TEST_F(BatchTest, EvaluatorBitIdenticalAcrossBatchSizesAndThreadCounts) {
 // 2. TopKBatch vs scalar TopK
 // ---------------------------------------------------------------------------
 
-// Runs the scalar range-aware TopK per query and compares field by field.
+// The oracle that shares no code with either top-k path: scalar dots over
+// the row-major source tables, a full sort by (score desc, id asc), the
+// range / brownout-budget / exclusion / quarantine filters applied by hand.
+std::vector<ScoredItem> BruteForceTopK(const Tensor& users,
+                                       const Tensor& items,
+                                       const EmbeddingSnapshot& snapshot,
+                                       const Recommender::BatchQuery& query,
+                                       int64_t item_begin, int64_t item_end,
+                                       int64_t max_items) {
+  const int64_t dim = users.cols();
+  int64_t end = item_end == 0 ? items.rows() : item_end;
+  if (max_items > 0) end = std::min(end, item_begin + max_items);
+  std::vector<ScoredItem> ranked;
+  for (int64_t i = item_begin; i < end; ++i) {
+    if (query.exclude != nullptr &&
+        std::count(query.exclude->begin(), query.exclude->end(), i) > 0) {
+      continue;
+    }
+    if (!snapshot.item_available(i)) continue;
+    ranked.push_back({i, ScalarDot(users.data() + query.user * dim,
+                                   items.data() + i * dim, dim)});
+  }
+  std::sort(ranked.begin(), ranked.end(),
+            [](const ScoredItem& a, const ScoredItem& b) {
+              return a.score != b.score ? a.score > b.score : a.item < b.item;
+            });
+  if (static_cast<int64_t>(ranked.size()) > query.k) ranked.resize(query.k);
+  return ranked;
+}
+
+// Runs the scalar range-aware TopK per query and compares field by field;
+// every query that finished must also match the brute force over `users`
+// and `items`, the tables the snapshot was written from.
 void ExpectBatchMatchesScalar(const Recommender& recommender,
                               const EmbeddingSnapshot& snapshot,
+                              const Tensor& users, const Tensor& items,
                               const std::vector<Recommender::BatchQuery>& qs,
                               int64_t item_begin, int64_t item_end,
                               int64_t max_items) {
@@ -301,6 +339,14 @@ void ExpectBatchMatchesScalar(const Recommender& recommender,
       EXPECT_EQ(results[q].items[i].item, expected[i].item);
       EXPECT_EQ(results[q].items[i].score, expected[i].score);  // Bit-equal.
     }
+    if (!results[q].status.ok()) continue;
+    const std::vector<ScoredItem> oracle = BruteForceTopK(
+        users, items, snapshot, qs[q], item_begin, item_end, max_items);
+    ASSERT_EQ(results[q].items.size(), oracle.size());
+    for (size_t i = 0; i < oracle.size(); ++i) {
+      EXPECT_EQ(results[q].items[i].item, oracle[i].item);
+      EXPECT_EQ(results[q].items[i].score, oracle[i].score);  // Bit-equal.
+    }
   }
 }
 
@@ -310,6 +356,9 @@ TEST_F(BatchTest, TopKBatchMatchesScalarAcrossShapesAndBatchSizes) {
                                          kDim);
   auto loaded = EmbeddingSnapshot::Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  // The tables WriteSnapshot wrote.
+  const Tensor users = MakeTable(kUsers, kDim, 0.25f);
+  const Tensor items = MakeTable(kItems, kDim, -0.5f);
   RecommenderOptions options;
   options.block_items = 9;  // Forces several block boundaries per pass.
   Recommender recommender(options);
@@ -348,8 +397,9 @@ TEST_F(BatchTest, TopKBatchMatchesScalarAcrossShapesAndBatchSizes) {
           query.exclude = &excludes[query.user];
           queries.push_back(query);
         }
-        ExpectBatchMatchesScalar(recommender, *loaded.value(), queries,
-                                 range.begin, range.end, range.max_items);
+        ExpectBatchMatchesScalar(recommender, *loaded.value(), users, items,
+                                 queries, range.begin, range.end,
+                                 range.max_items);
       }
     }
   }
@@ -396,8 +446,12 @@ TEST_F(BatchTest, TopKBatchQuarantineSkipsMatchScalar) {
   }
   // Full catalogue (8 skips per query) and a range half inside the
   // quarantined shard (4 skips per query).
-  ExpectBatchMatchesScalar(recommender, *loaded.value(), queries, 0, 0, 0);
-  ExpectBatchMatchesScalar(recommender, *loaded.value(), queries, 12, 28, 0);
+  const Tensor users = MakeTable(kUsers, kDim, 0.25f);
+  const Tensor items = MakeTable(kItems, kDim, -0.5f);
+  ExpectBatchMatchesScalar(recommender, *loaded.value(), users, items, queries,
+                           0, 0, 0);
+  ExpectBatchMatchesScalar(recommender, *loaded.value(), users, items, queries,
+                           12, 28, 0);
   std::remove(path.c_str());
 }
 

@@ -28,6 +28,7 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,6 +42,7 @@
 #include "serve/shard_format.h"
 #include "serve/snapshot.h"
 #include "serve/snapshot_store.h"
+#include "tensor/score_kernel.h"
 #include "tensor/tensor.h"
 #include "tests/temp_path.h"
 #include "train/online_updater.h"
@@ -750,9 +752,9 @@ TEST_F(StoreFaultTest, LoadIntoHandsNewestLineageToRecService) {
   EXPECT_EQ(snapshot->version(), 2);
 }
 
-/// Minimal factor model: exactly two parameter tensors (users then items)
-/// over one embedding dimension — the layout the store-routed export
-/// manages.
+/// Minimal factor model: a user table and an item table over one embedding
+/// dimension, exposed as its scoring factors — what the store-routed
+/// export writes.
 class StoreFactorModel : public TrainableModel {
  public:
   StoreFactorModel(Tensor users, Tensor items)
@@ -765,19 +767,22 @@ class StoreFactorModel : public TrainableModel {
   int64_t StepsPerEpoch() const override { return 1; }
   std::vector<Tensor> Parameters() override { return {users_, items_}; }
   std::string name() const override { return "store-factor"; }
-  void ScoreItemsForUser(int64_t user,
-                         std::vector<float>* scores) const override {
-    (void)user;
-    scores->assign(static_cast<size_t>(items_.rows()), 0.0f);
+  void PrepareScoring() const override {
+    PackPanels(items_.data(), items_.rows(), items_.cols(), &panels_);
+  }
+  std::optional<ScoringFactors> Factors() const override {
+    return ScoringFactors{users_.data(), items_.data(), panels_.data(),
+                          users_.rows(), items_.rows(), users_.cols()};
   }
 
  private:
   Tensor users_;
   Tensor items_;
+  mutable std::vector<float> panels_;
 };
 
-/// A single-tensor model: not a factor layout, so the store-routed export
-/// must refuse it (the path-based export would fall back to v2).
+/// A model without scoring factors: the store-routed export must refuse
+/// it.
 class StoreScalarModel : public TrainableModel {
  public:
   StoreScalarModel() : parameter_(1, 1, std::vector<float>{1.0f}) {}
@@ -836,10 +841,10 @@ TEST_F(StoreFaultTest, StoreRoutedExportAssignsVersionsAndRegisters) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.value()->parent_version(), 7);
 
-  // Only the two-tensor factor layout is store-managed.
+  // Only a model with scoring factors can be exported.
   StoreScalarModel scalar;
   EXPECT_EQ(ExportServingCheckpoint(&scalar, store.get()).code(),
-            StatusCode::kInvalidArgument);
+            StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 #include "train/trainer.h"
 
 #include <cstdio>
+#include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -12,6 +14,7 @@
 #include "serve/shard_format.h"
 #include "serve/snapshot.h"
 #include "tensor/checkpoint.h"
+#include "tensor/score_kernel.h"
 #include "train/sampler.h"
 #include "util/thread_pool.h"
 
@@ -257,8 +260,8 @@ TEST(TrainerTest, HistoryRecordsValidationCurve) {
   EXPECT_GE(history.train_seconds, 0.0);
 }
 
-// A minimal factor model — exactly two parameter tensors (user table then
-// item table) over one embedding dimension, the layout the serving
+// A minimal factor model: a user table and an item table over one
+// embedding dimension, exposed as its scoring factors, which the serving
 // exporter writes in the sharded snapshot format.
 class FakeFactorModel : public TrainableModel {
  public:
@@ -272,15 +275,18 @@ class FakeFactorModel : public TrainableModel {
   int64_t StepsPerEpoch() const override { return 1; }
   std::vector<Tensor> Parameters() override { return {users_, items_}; }
   std::string name() const override { return "fake-factor"; }
-  void ScoreItemsForUser(int64_t user,
-                         std::vector<float>* scores) const override {
-    (void)user;
-    scores->assign(static_cast<size_t>(items_.rows()), 0.0f);
+  void PrepareScoring() const override {
+    PackPanels(items_.data(), items_.rows(), items_.cols(), &panels_);
+  }
+  std::optional<ScoringFactors> Factors() const override {
+    return ScoringFactors{users_.data(), items_.data(), panels_.data(),
+                          users_.rows(), items_.rows(), users_.cols()};
   }
 
  private:
   Tensor users_;
   Tensor items_;
+  mutable std::vector<float> panels_;
 };
 
 Tensor ExportTable(int64_t rows, int64_t cols, float scale) {
@@ -324,20 +330,16 @@ TEST(TrainerTest, ExportServingCheckpointWritesShardedSnapshot) {
   std::remove(path.c_str());
 }
 
-TEST(TrainerTest, ExportServingCheckpointFallsBackToMonolithicLayout) {
-  // One parameter tensor is not a factor-model layout: the export keeps
-  // the monolithic v2 checkpoint format.
-  const std::string path =
-      TestTempPath("export_monolithic.ckpt");
-  FakeModel model({1.0});
-  ASSERT_TRUE(ExportServingCheckpoint(&model, path).ok());
-  EXPECT_FALSE(IsShardedSnapshotFile(path));
-  // LoadCheckpoint restores into pre-shaped tensors; a matching 1x1
-  // destination confirms the v2 layout round trips.
-  std::vector<Tensor> tensors = {Tensor(1, 1, std::vector<float>{0.0f})};
-  Status loaded = LoadCheckpoint(path, &tensors);
-  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+TEST(TrainerTest, ExportServingCheckpointRefusesModelsWithoutScoringFactors) {
+  // A model without scoring factors (NeuMF's MLP tower, here a bare
+  // parameter) cannot be scored by the serving layer: the export refuses
+  // it and writes nothing.
+  const std::string path = TestTempPath("export_no_factors.snap");
   std::remove(path.c_str());
+  FakeModel model({1.0});
+  EXPECT_EQ(ExportServingCheckpoint(&model, path).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(std::ifstream(path).good());
 }
 
 }  // namespace
