@@ -55,7 +55,7 @@
 #include "data/dataset.h"
 #include "obs/metrics.h"
 #include "serve/rec_service.h"
-#include "tensor/checkpoint.h"
+#include "serve/shard_format.h"
 #include "tensor/tensor.h"
 #include "util/status.h"
 
@@ -433,12 +433,11 @@ std::string RunJson(const RunResult& run) {
 
 int Main(int argc, char** argv) {
   const std::string output_path = argc > 1 ? argv[1] : "BENCH_serving.json";
-  const std::string snapshot_path = "bench_load_gen_snapshot.ckpt";
+  const std::string snapshot_path = "bench_load_gen_snapshot.ims3";
   {
-    std::vector<Tensor> tensors;
-    tensors.push_back(MakeTable(kNumUsers, kDim, 0.02f));
-    tensors.push_back(MakeTable(kNumItems, kDim, -0.02f));
-    Status status = SaveCheckpoint(snapshot_path, tensors);
+    Status status = WriteShardedSnapshot(snapshot_path,
+                                         MakeTable(kNumUsers, kDim, 0.02f),
+                                         MakeTable(kNumItems, kDim, -0.02f));
     if (!status.ok()) {
       std::fprintf(stderr, "snapshot write failed: %s\n",
                    status.ToString().c_str());

@@ -1,13 +1,12 @@
-// Snapshot-reload microbenchmark: monolithic v2 checkpoint vs the sharded
-// v3 serving-snapshot format (DESIGN.md §6). Reports, per layout:
+// Snapshot-reload microbenchmark for the sharded v3 serving-snapshot
+// format (DESIGN.md §6). Reports:
 //
 //   - file size,
 //   - reload wall time (median of several loads), and
-//   - peak-RSS delta of one load in a clean child process (Linux VmHWM),
-//     which exposes the staging difference: the v2 loader stages the whole
-//     payload in scratch buffers before committing (peak transient = one
-//     extra full copy), while the v3 loader streams shard-by-shard (peak
-//     transient = one shard).
+//   - peak-RSS delta of one load in a clean child process (Linux VmHWM):
+//     the loader packs each validated shard straight into its own buffer,
+//     so the transient on top of the loaded snapshot is one shard of
+//     staging, never a second whole table.
 //
 // Usage:
 //   snapshot_reload [num_users num_items dim items_per_shard]
@@ -27,7 +26,6 @@
 
 #include "serve/shard_format.h"
 #include "serve/snapshot.h"
-#include "tensor/checkpoint.h"
 #include "tensor/tensor.h"
 #include "util/status.h"
 
@@ -148,34 +146,22 @@ int Run(int argc, char** argv) {
   Tensor users = MakeTable(num_users, dim, 0.02f);
   Tensor items = MakeTable(num_items, dim, -0.01f);
 
-  const std::string v2_path = "/tmp/imcat_bench_monolithic.ckpt";
   const std::string v3_path = "/tmp/imcat_bench_sharded.snap";
-  Status v2_write = SaveCheckpoint(v2_path, {users, items});
   ShardedSnapshotOptions sharded;
   sharded.items_per_shard = items_per_shard;
   Status v3_write = WriteShardedSnapshot(v3_path, users, items, sharded);
-  if (!v2_write.ok() || !v3_write.ok()) {
-    std::fprintf(stderr, "write failed: %s / %s\n",
-                 v2_write.ToString().c_str(), v3_write.ToString().c_str());
+  if (!v3_write.ok()) {
+    std::fprintf(stderr, "write failed: %s\n", v3_write.ToString().c_str());
     return 1;
   }
 
-  struct Layout {
-    const char* name;
-    const std::string& path;
-  };
-  const Layout layouts[] = {{"monolithic-v2", v2_path},
-                            {"sharded-v3", v3_path}};
   std::printf("%-14s %12s %14s %18s\n", "layout", "file_bytes",
               "reload_ms(med)", "peak_rss_delta_kb");
-  for (const Layout& layout : layouts) {
-    const double median_ms = MedianLoadMs(layout.path, kRounds);
-    const int64_t rss_kb = MeasureRssDeltaKb(argv[0], layout.path);
-    std::printf("%-14s %12lld %14.2f %18lld\n", layout.name,
-                static_cast<long long>(FileSizeBytes(layout.path)), median_ms,
-                static_cast<long long>(rss_kb));
-  }
-  std::remove(v2_path.c_str());
+  const double median_ms = MedianLoadMs(v3_path, kRounds);
+  const int64_t rss_kb = MeasureRssDeltaKb(argv[0], v3_path);
+  std::printf("%-14s %12lld %14.2f %18lld\n", "sharded-v3",
+              static_cast<long long>(FileSizeBytes(v3_path)), median_ms,
+              static_cast<long long>(rss_kb));
   std::remove(v3_path.c_str());
   return 0;
 }

@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
   auto before = service.snapshot();
   (void)service.LoadSnapshot(snapshot_path);
   // parent_version is the lineage the loaded file claims in its manifest
-  // (0 for unversioned monolithic exports) — the same value the
+  // (0 for unversioned exports) — the same value the
   // snapshot_reload journal event now carries.
   std::printf(
       "old snapshot version %lld still valid, current is %lld "

@@ -142,8 +142,7 @@ Status RecService::LoadSnapshot(const std::string& path) {
     if (result.ok()) {
       std::shared_ptr<EmbeddingSnapshot> loaded = std::move(result).value();
       // Version: the exporter's manifest version when assigned, else the
-      // service's own monotonic counter (v2 files and unversioned
-      // exports).
+      // service's own monotonic counter (unversioned exports).
       const std::shared_ptr<const EmbeddingSnapshot> live = snapshot();
       const int64_t version =
           loaded->parent_version() > 0

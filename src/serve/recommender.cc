@@ -147,17 +147,6 @@ Status Recommender::TopKBatchImpl(const EmbeddingSnapshot& snapshot,
         std::min(queries[i].k, num_items - item_begin)));
   }
 
-  // Per-item availability checks only cost anything when the snapshot
-  // actually has quarantined shards overlapping the requested range.
-  bool check_quarantine = false;
-  if (snapshot.quarantined_count() > 0) {
-    const int64_t first = snapshot.shard_of_item(item_begin);
-    const int64_t last = snapshot.shard_of_item(item_end - 1);
-    for (int64_t s = first; s <= last && !check_quarantine; ++s) {
-      check_quarantine = snapshot.shard_quarantined(s);
-    }
-  }
-
   // `live[r]` indexes into `active`; score-buffer row r belongs to it.
   // Row pointers are rebuilt only when the live set changes (a deadline
   // expiry), not per block.
@@ -165,8 +154,8 @@ Status Recommender::TopKBatchImpl(const EmbeddingSnapshot& snapshot,
   for (size_t r = 0; r < live.size(); ++r) live[r] = r;
   std::vector<const float*> user_rows;
   bool rows_dirty = true;
-  // A block scores every panel it overlaps; one that starts mid-panel
-  // overlaps one panel more than an aligned block.
+  // A segment scores every panel it overlaps; one that starts mid-panel
+  // overlaps one panel more than an aligned one of the same length.
   const int64_t stride = (NumPanels(block_items_) + 1) * kPanelItems;
   std::vector<float> scores(live.size() * static_cast<size_t>(stride));
 
@@ -218,44 +207,63 @@ Status Recommender::TopKBatchImpl(const EmbeddingSnapshot& snapshot,
       rows_dirty = false;
     }
     const int64_t end = std::min(begin + block_items_, num_items);
-    // The panel kernel: this block's panels stream through cache once for
-    // the whole batch. Excluded/quarantined items (and the lanes of a
-    // partly covered panel) are scored too and discarded during selection
-    // below — branchless scoring keeps the inner loop tight, and a
-    // discarded score cannot change the selected set (the ranking order is
-    // a strict total order).
-    const int64_t first_panel = begin / kPanelItems;
-    ScorePanels(user_rows.data(), static_cast<int64_t>(live.size()),
-                snapshot.item_panels(), first_panel,
-                (end - 1) / kPanelItems - first_panel + 1, snapshot.dim(),
-                scores.data(), stride);
-    const int64_t first_lane_item = first_panel * kPanelItems;
-    for (size_t r = 0; r < live.size(); ++r) {
-      ActiveQuery& q = active[live[r]];
-      const size_t k = static_cast<size_t>(queries[q.index].k);
-      const bool has_exclusions = !q.excluded.empty();
-      const float* row = scores.data() + r * static_cast<size_t>(stride);
-      for (int64_t item = begin; item < end; ++item) {
-        if (check_quarantine && !snapshot.item_available(item)) {
-          if (!has_exclusions || q.excluded.count(item) == 0) ++q.skipped;
-          continue;
+    // The block in per-shard segments, each scored from its own shard's
+    // panels; segments never move a deadline boundary.
+    for (int64_t segment = begin; segment < end;) {
+      const int64_t shard = snapshot.shard_of_item(segment);
+      const int64_t shard_begin = snapshot.shard_range(shard).first;
+      const int64_t segment_end =
+          std::min(end, snapshot.shard_range(shard).second);
+      if (snapshot.shard_quarantined(shard)) {
+        // Zero placeholders, not scores: skipped and counted, never ranked.
+        for (size_t r : live) {
+          ActiveQuery& q = active[r];
+          for (int64_t item = segment; item < segment_end; ++item) {
+            if (q.excluded.empty() || q.excluded.count(item) == 0) {
+              ++q.skipped;
+            }
+          }
         }
-        const float score = row[item - first_lane_item];
-        const bool full = q.heap.size() == k;
-        // Ids arrive in ascending order, so a candidate that ties the k-th
-        // score loses to it: once the heap is full only a strictly greater
-        // score can enter. A NaN compares false and stays out, as under
-        // Better.
-        if (full && !(score > q.heap.front().score)) continue;
-        if (has_exclusions && q.excluded.count(item) != 0) continue;
-        if (full) {
-          std::pop_heap(q.heap.begin(), q.heap.end(), Better);
-          q.heap.back() = ScoredItem{item, score};
-        } else {
-          q.heap.push_back(ScoredItem{item, score});
-        }
-        std::push_heap(q.heap.begin(), q.heap.end(), Better);
+        segment = segment_end;
+        continue;
       }
+      // The panel kernel: this segment's panels stream through cache once
+      // for the whole batch. Excluded items (and the lanes of a partly
+      // covered panel) are scored too and discarded during selection below
+      // — branchless scoring keeps the inner loop tight, and a discarded
+      // score cannot change the selected set (the ranking order is a strict
+      // total order).
+      const int64_t first_panel = (segment - shard_begin) / kPanelItems;
+      ScorePanels(user_rows.data(), static_cast<int64_t>(live.size()),
+                  snapshot.shard_panels(shard), first_panel,
+                  (segment_end - 1 - shard_begin) / kPanelItems -
+                      first_panel + 1,
+                  snapshot.dim(), scores.data(), stride);
+      const int64_t first_lane_item = shard_begin + first_panel * kPanelItems;
+      for (size_t r = 0; r < live.size(); ++r) {
+        ActiveQuery& q = active[live[r]];
+        const size_t k = static_cast<size_t>(queries[q.index].k);
+        const bool has_exclusions = !q.excluded.empty();
+        const float* row = scores.data() + r * static_cast<size_t>(stride);
+        for (int64_t item = segment; item < segment_end; ++item) {
+          const float score = row[item - first_lane_item];
+          const bool full = q.heap.size() == k;
+          // Ids arrive in ascending order, so a candidate that ties the
+          // k-th score loses to it: once the heap is full only a strictly
+          // greater score can enter. A NaN compares false and stays out, as
+          // under Better.
+          if (full && !(score > q.heap.front().score)) continue;
+          if (has_exclusions && q.excluded.count(item) != 0) continue;
+          if (full) {
+            std::pop_heap(q.heap.begin(), q.heap.end(), Better);
+            q.heap.back() = ScoredItem{item, score};
+          } else {
+            q.heap.push_back(ScoredItem{item, score});
+          }
+          std::push_heap(q.heap.begin(), q.heap.end(), Better);
+        }
+      }
+      segment = segment_end;
     }
   }
   for (size_t r : live) {

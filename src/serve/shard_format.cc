@@ -17,6 +17,9 @@ namespace {
 
 constexpr char kShardMagic[4] = {'I', 'M', 'S', '3'};
 constexpr uint32_t kShardVersion = 3;
+/// The monolithic checkpoint's magic (tensor/checkpoint.h), recognised
+/// only to refuse it with a clear message.
+constexpr char kCheckpointMagic[4] = {'I', 'M', 'C', 'T'};
 
 /// Fixed manifest sizes (see the layout in shard_format.h).
 constexpr int64_t kHeaderBytes = 4 + 4 + 6 * 8;   // magic..num_item_shards.
@@ -137,6 +140,13 @@ Status ReadManifest(ShardFileReader* reader, ShardManifest* manifest) {
   ManifestCursor cursor(reader);
   char magic[4];
   Status magic_status = cursor.ReadBytes(magic, sizeof(magic));
+  if (magic_status.ok() &&
+      std::memcmp(magic, kCheckpointMagic, sizeof(kCheckpointMagic)) == 0) {
+    return Status::InvalidArgument(
+        reader->path() +
+        ": a monolithic IMCAT checkpoint (v1/v2) is not a serving snapshot; "
+        "export a sharded v3 snapshot (WriteShardedSnapshot)");
+  }
   if (!magic_status.ok() ||
       std::memcmp(magic, kShardMagic, sizeof(kShardMagic)) != 0) {
     return Status::InvalidArgument(reader->path() +
@@ -220,10 +230,10 @@ Status ReadManifest(ShardFileReader* reader, ShardManifest* manifest) {
 }
 
 constexpr char kDeltaMagic[4] = {'I', 'M', 'D', '3'};
-constexpr uint32_t kDeltaVersion = 1;
+constexpr uint32_t kDeltaVersion = 2;
 
 /// Fixed delta-manifest sizes (see the delta layout in shard_format.h).
-constexpr int64_t kDeltaHeaderBytes = 4 + 4 + 7 * 8;  // magic..num_changed.
+constexpr int64_t kDeltaHeaderBytes = 4 + 4 + 8 * 8;  // magic..num_changed.
 constexpr int64_t kDeltaShardEntryBytes = 6 * 8;      // index..checksum.
 
 int64_t DeltaManifestBytes(int64_t num_changed_shards) {
@@ -231,8 +241,15 @@ int64_t DeltaManifestBytes(int64_t num_changed_shards) {
          num_changed_shards * kDeltaShardEntryBytes + kChecksumBytes;
 }
 
+/// Bytes of one shipped user row in the user-row section: its id and its
+/// factors.
+int64_t DeltaUserRowBytes(int64_t dim) {
+  return static_cast<int64_t>(sizeof(int64_t)) +
+         dim * static_cast<int64_t>(sizeof(float));
+}
+
 /// Reads and validates a delta manifest: magic, version chain, geometry,
-/// shard-entry layout and the manifest checksum. Payload untouched.
+/// section layout and the manifest checksum. Payload untouched.
 Status ReadDeltaManifest(ShardFileReader* reader, DeltaManifest* manifest) {
   ManifestCursor cursor(reader);
   char magic[4];
@@ -244,11 +261,20 @@ Status ReadDeltaManifest(ShardFileReader* reader, DeltaManifest* manifest) {
   }
   uint32_t version = 0;
   IMCAT_RETURN_IF_ERROR(cursor.Read(&version));
+  if (version == 1) {
+    return Status::InvalidArgument(
+        reader->path() +
+        ": delta snapshot format version 1 (whole user table per delta) is "
+        "no longer read; this build reads version " +
+        std::to_string(kDeltaVersion) +
+        " — resync the chain with a full publish");
+  }
   if (version != kDeltaVersion) {
     return Status::InvalidArgument(
         reader->path() + ": unsupported delta snapshot version " +
         std::to_string(version));
   }
+  int64_t num_changed_users = 0;
   int64_t num_changed = 0;
   IMCAT_RETURN_IF_ERROR(cursor.Read(&manifest->base_version));
   IMCAT_RETURN_IF_ERROR(cursor.Read(&manifest->version));
@@ -256,6 +282,7 @@ Status ReadDeltaManifest(ShardFileReader* reader, DeltaManifest* manifest) {
   IMCAT_RETURN_IF_ERROR(cursor.Read(&manifest->num_items));
   IMCAT_RETURN_IF_ERROR(cursor.Read(&manifest->dim));
   IMCAT_RETURN_IF_ERROR(cursor.Read(&manifest->items_per_shard));
+  IMCAT_RETURN_IF_ERROR(cursor.Read(&num_changed_users));
   IMCAT_RETURN_IF_ERROR(cursor.Read(&num_changed));
 
   // Geometry sanity before any allocation, mirroring the full format: a
@@ -270,7 +297,8 @@ Status ReadDeltaManifest(ShardFileReader* reader, DeltaManifest* manifest) {
   if (!bounded(manifest->num_users) || !bounded(manifest->num_items) ||
       !bounded(manifest->dim) || !bounded(manifest->items_per_shard) ||
       manifest->base_version < 0 ||
-      manifest->version <= manifest->base_version || num_changed < 0 ||
+      manifest->version <= manifest->base_version || num_changed_users < 0 ||
+      num_changed_users > manifest->num_users || num_changed < 0 ||
       num_changed > total_shards ||
       DeltaManifestBytes(num_changed) > reader->file_size()) {
     return Status::DataLoss(reader->path() +
@@ -281,18 +309,19 @@ Status ReadDeltaManifest(ShardFileReader* reader, DeltaManifest* manifest) {
   const int64_t payload_start = DeltaManifestBytes(num_changed);
 
   IMCAT_RETURN_IF_ERROR(ReadEntry(&cursor, /*with_range=*/false,
-                                  &manifest->user_table));
-  manifest->user_table.begin = 0;
-  manifest->user_table.end = manifest->num_users;
-  if (manifest->user_table.byte_offset != payload_start ||
-      manifest->user_table.byte_size != manifest->num_users * row_bytes) {
+                                  &manifest->user_rows));
+  manifest->user_rows.begin = 0;
+  manifest->user_rows.end = num_changed_users;
+  if (manifest->user_rows.byte_offset != payload_start ||
+      manifest->user_rows.byte_size !=
+          num_changed_users * DeltaUserRowBytes(manifest->dim)) {
     return Status::DataLoss(reader->path() +
-                            ": delta snapshot user-table entry corrupt");
+                            ": delta snapshot user-row entry corrupt");
   }
 
   manifest->changed_shards.resize(static_cast<size_t>(num_changed));
   int64_t expected_offset =
-      manifest->user_table.byte_offset + manifest->user_table.byte_size;
+      manifest->user_rows.byte_offset + manifest->user_rows.byte_size;
   int64_t previous_index = -1;
   for (int64_t i = 0; i < num_changed; ++i) {
     DeltaShardEntry& entry = manifest->changed_shards[static_cast<size_t>(i)];
@@ -328,7 +357,7 @@ Status ReadDeltaManifest(ShardFileReader* reader, DeltaManifest* manifest) {
 /// Reads one integrity unit into `out` (already sized), re-reading up to
 /// `attempts` times on corruption. OK means the checksum matched.
 Status ReadValidated(ShardFileReader* reader, const ShardEntry& entry,
-                     int64_t attempts, float* out) {
+                     int64_t attempts, void* out) {
   Status last = Status::DataLoss(reader->path() + ": shard unreadable");
   for (int64_t attempt = 0; attempt < std::max<int64_t>(attempts, 1);
        ++attempt) {
@@ -345,6 +374,25 @@ Status ReadValidated(ShardFileReader* reader, const ShardEntry& entry,
     last = Status::DataLoss(reader->path() + ": shard checksum mismatch");
   }
   return last;
+}
+
+/// Reads item shard `entry` (`dim`-wide rows) into `out` in `layout`.
+/// Packed shards stage through `scratch` (one shard of rows); row-major
+/// shards are read in place. On failure `out` is left empty.
+Status ReadItemShard(ShardFileReader* reader, const ShardEntry& entry,
+                     int64_t attempts, int64_t dim, ItemLayout layout,
+                     std::vector<float>* scratch, std::vector<float>* out) {
+  const int64_t rows = entry.end - entry.begin;
+  std::vector<float>* target = layout == ItemLayout::kRows ? out : scratch;
+  target->resize(static_cast<size_t>(rows * dim));
+  Status status = ReadValidated(reader, entry, attempts, target->data());
+  if (!status.ok()) {
+    out->clear();
+    out->shrink_to_fit();
+    return status;
+  }
+  if (layout == ItemLayout::kPanels) PackPanels(scratch->data(), rows, dim, out);
+  return Status::OK();
 }
 
 }  // namespace
@@ -379,6 +427,22 @@ Status WriteShardedSnapshot(const std::string& path, const float* users,
                             int64_t num_users, const float* items,
                             int64_t num_items, int64_t dim,
                             const ShardedSnapshotOptions& options) {
+  std::vector<const float*> shards;
+  if (options.items_per_shard > 0 && dim > 0) {
+    for (int64_t begin = 0; begin < num_items;
+         begin += options.items_per_shard) {
+      shards.push_back(items + begin * dim);
+    }
+  }
+  return WriteShardedSnapshot(path, users, num_users, shards, num_items, dim,
+                              options);
+}
+
+Status WriteShardedSnapshot(const std::string& path, const float* users,
+                            int64_t num_users,
+                            std::span<const float* const> item_shards,
+                            int64_t num_items, int64_t dim,
+                            const ShardedSnapshotOptions& options) {
   if (num_users <= 0 || num_items <= 0 || dim <= 0) {
     return Status::InvalidArgument(
         path + ": sharded snapshot needs non-empty factor matrices, got " +
@@ -395,8 +459,14 @@ Status WriteShardedSnapshot(const std::string& path, const float* users,
   const int64_t items_per_shard = options.items_per_shard;
   const int64_t num_shards =
       (num_items + items_per_shard - 1) / items_per_shard;
+  IMCAT_CHECK(static_cast<int64_t>(item_shards.size()) == num_shards);
   const int64_t row_bytes = dim * static_cast<int64_t>(sizeof(float));
   const int64_t payload_start = ManifestBytes(num_shards);
+  const auto shard_bytes = [&](int64_t s) {
+    return (std::min((s + 1) * items_per_shard, num_items) -
+            s * items_per_shard) *
+           row_bytes;
+  };
 
   AtomicFileWriter out(path);
   IMCAT_RETURN_IF_ERROR(out.Open());
@@ -422,15 +492,16 @@ Status WriteShardedSnapshot(const std::string& path, const float* users,
   int64_t offset = payload_start + user_bytes;
   for (int64_t s = 0; s < num_shards; ++s) {
     const int64_t begin = s * items_per_shard;
-    const int64_t end = std::min(begin + items_per_shard, num_items);
-    const int64_t bytes = (end - begin) * row_bytes;
+    const int64_t bytes = shard_bytes(s);
     IMCAT_RETURN_IF_ERROR(WriteValue(&out, &hash, begin));
-    IMCAT_RETURN_IF_ERROR(WriteValue(&out, &hash, end));
+    IMCAT_RETURN_IF_ERROR(
+        WriteValue(&out, &hash, std::min(begin + items_per_shard, num_items)));
     IMCAT_RETURN_IF_ERROR(WriteValue(&out, &hash, offset));
     IMCAT_RETURN_IF_ERROR(WriteValue(&out, &hash, bytes));
     IMCAT_RETURN_IF_ERROR(WriteValue(
         &out, &hash,
-        Fnv1aHash(items + begin * dim, static_cast<size_t>(bytes))));
+        Fnv1aHash(item_shards[static_cast<size_t>(s)],
+                  static_cast<size_t>(bytes))));
     offset += bytes;
   }
   const uint64_t manifest_checksum = hash.value();
@@ -441,11 +512,8 @@ Status WriteShardedSnapshot(const std::string& path, const float* users,
   IMCAT_RETURN_IF_ERROR(
       out.Write(users, static_cast<size_t>(user_bytes)));
   for (int64_t s = 0; s < num_shards; ++s) {
-    const int64_t begin = s * items_per_shard;
-    const int64_t end = std::min(begin + items_per_shard, num_items);
-    IMCAT_RETURN_IF_ERROR(
-        out.Write(items + begin * dim,
-                  static_cast<size_t>((end - begin) * row_bytes)));
+    IMCAT_RETURN_IF_ERROR(out.Write(item_shards[static_cast<size_t>(s)],
+                                    static_cast<size_t>(shard_bytes(s))));
   }
   return out.Commit();
 }
@@ -459,7 +527,8 @@ StatusOr<ShardManifest> ReadShardedSnapshotManifest(const std::string& path) {
 }
 
 StatusOr<ShardedLoadResult> LoadShardedSnapshot(
-    const std::string& path, const SnapshotLoadOptions& options) {
+    const std::string& path, const SnapshotLoadOptions& options,
+    ItemLayout layout) {
   ShardFileReader reader;
   IMCAT_RETURN_IF_ERROR(reader.Open(path));
   ShardedLoadResult result;
@@ -478,29 +547,18 @@ StatusOr<ShardedLoadResult> LoadShardedSnapshot(
                   "user table failed validation: " + user_status.message());
   }
 
-  // Item shards stream through one shard of staging memory: each shard is
-  // read and checksummed in the scratch buffer, and only validated bytes
-  // are copied into the table — so peak transient memory is one shard, and
-  // a corrupt shard leaves zeroed rows, never half-read garbage.
-  // Capacity covers the tail panel's padding, so EmbeddingSnapshot packs
-  // the table into panels in place without reallocating.
-  result.items.reserve(static_cast<size_t>(NumPanels(manifest.num_items) *
-                                           kPanelItems * manifest.dim));
-  result.items.assign(
-      static_cast<size_t>(manifest.num_items * manifest.dim), 0.0f);
+  // Each item shard is read, checksummed and kept in its own buffer (packed
+  // shards stage through one shard of scratch), so a corrupt shard loads
+  // nothing, never half-read garbage, and no whole-catalogue table exists.
+  result.item_shards.resize(manifest.item_shards.size());
   result.quarantined.assign(manifest.item_shards.size(), 0);
-  std::vector<float> scratch(
-      static_cast<size_t>(manifest.items_per_shard * manifest.dim));
+  std::vector<float> scratch;
   for (size_t s = 0; s < manifest.item_shards.size(); ++s) {
     const ShardEntry& entry = manifest.item_shards[s];
-    Status shard_status = ReadValidated(&reader, entry,
-                                        options.shard_read_attempts,
-                                        scratch.data());
-    if (shard_status.ok()) {
-      std::memcpy(result.items.data() + entry.begin * manifest.dim,
-                  scratch.data(), static_cast<size_t>(entry.byte_size));
-      continue;
-    }
+    Status shard_status =
+        ReadItemShard(&reader, entry, options.shard_read_attempts,
+                      manifest.dim, layout, &scratch, &result.item_shards[s]);
+    if (shard_status.ok()) continue;
     if (!options.allow_partial) {
       return Status(shard_status.code(),
                     "shard " + std::to_string(s) + " [" +
@@ -542,6 +600,38 @@ Status WriteDeltaSnapshot(const std::string& path, const Tensor& users,
         " and item table " + std::to_string(items.rows()) + "x" +
         std::to_string(items.cols()));
   }
+  DeltaContents contents;
+  contents.num_users = users.rows();
+  contents.num_items = items.rows();
+  contents.dim = users.cols();
+  for (int64_t u = 0; u < users.rows(); ++u) {
+    contents.user_ids.push_back(u);
+    contents.user_rows.push_back(users.data() + u * contents.dim);
+  }
+  contents.shard_indices = changed_shards;
+  for (int64_t index : changed_shards) {
+    // Out-of-range indices are refused by the writer before any read.
+    const int64_t begin = index * options.items_per_shard;
+    contents.shard_rows.push_back(
+        index >= 0 && begin < items.rows() ? items.data() + begin * contents.dim
+                                           : nullptr);
+  }
+  return WriteDeltaSnapshot(path, contents, options);
+}
+
+Status WriteDeltaSnapshot(const std::string& path,
+                          const DeltaContents& contents,
+                          const DeltaSnapshotOptions& options) {
+  const int64_t num_users = contents.num_users;
+  const int64_t num_items = contents.num_items;
+  const int64_t dim = contents.dim;
+  if (num_users <= 0 || num_items <= 0 || dim <= 0) {
+    return Status::InvalidArgument(
+        path + ": delta snapshot needs non-empty factor matrices, got " +
+        std::to_string(num_users) + " users and " +
+        std::to_string(num_items) + " items of dimension " +
+        std::to_string(dim));
+  }
   if (options.items_per_shard <= 0) {
     return Status::InvalidArgument(path + ": items_per_shard must be > 0");
   }
@@ -552,26 +642,42 @@ Status WriteDeltaSnapshot(const std::string& path, const Tensor& users,
         std::to_string(options.base_version) + " -> " +
         std::to_string(options.version));
   }
-  const int64_t num_users = users.rows();
-  const int64_t num_items = items.rows();
-  const int64_t dim = users.cols();
+  IMCAT_CHECK(contents.user_ids.size() == contents.user_rows.size());
+  IMCAT_CHECK(contents.shard_indices.size() == contents.shard_rows.size());
   const int64_t items_per_shard = options.items_per_shard;
   const int64_t total_shards =
       (num_items + items_per_shard - 1) / items_per_shard;
-  int64_t previous_index = -1;
-  for (int64_t index : changed_shards) {
-    if (index <= previous_index || index >= total_shards) {
-      return Status::InvalidArgument(
-          path + ": changed shard indices must be strictly increasing and "
-                 "< " +
-          std::to_string(total_shards) + ", got " + std::to_string(index) +
-          " after " + std::to_string(previous_index));
+  const auto ascending = [](const std::vector<int64_t>& ids, int64_t limit,
+                            const char* what,
+                            const std::string& file) -> Status {
+    int64_t previous = -1;
+    for (int64_t id : ids) {
+      if (id <= previous || id >= limit) {
+        return Status::InvalidArgument(
+            file + ": changed " + what +
+            " must be strictly increasing and < " + std::to_string(limit) +
+            ", got " + std::to_string(id) + " after " +
+            std::to_string(previous));
+      }
+      previous = id;
     }
-    previous_index = index;
-  }
-  const int64_t num_changed = static_cast<int64_t>(changed_shards.size());
+    return Status::OK();
+  };
+  IMCAT_RETURN_IF_ERROR(
+      ascending(contents.user_ids, num_users, "user ids", path));
+  IMCAT_RETURN_IF_ERROR(
+      ascending(contents.shard_indices, total_shards, "shard indices", path));
+  const int64_t num_changed_users =
+      static_cast<int64_t>(contents.user_ids.size());
+  const int64_t num_changed =
+      static_cast<int64_t>(contents.shard_indices.size());
   const int64_t row_bytes = dim * static_cast<int64_t>(sizeof(float));
   const int64_t payload_start = DeltaManifestBytes(num_changed);
+  const auto shard_bytes = [&](int64_t index) {
+    return (std::min((index + 1) * items_per_shard, num_items) -
+            index * items_per_shard) *
+           row_bytes;
+  };
 
   AtomicFileWriter out(path);
   IMCAT_RETURN_IF_ERROR(out.Open());
@@ -585,30 +691,37 @@ Status WriteDeltaSnapshot(const std::string& path, const Tensor& users,
   IMCAT_RETURN_IF_ERROR(WriteValue(&out, &hash, num_items));
   IMCAT_RETURN_IF_ERROR(WriteValue(&out, &hash, dim));
   IMCAT_RETURN_IF_ERROR(WriteValue(&out, &hash, items_per_shard));
+  IMCAT_RETURN_IF_ERROR(WriteValue(&out, &hash, num_changed_users));
   IMCAT_RETURN_IF_ERROR(WriteValue(&out, &hash, num_changed));
 
-  // User-table entry (the user table always ships in full: fold-in touches
-  // arbitrary user rows and the table is small next to the catalogue).
-  const int64_t user_bytes = num_users * row_bytes;
+  // User-row entry: ids, then rows, under one checksum.
+  Fnv1a user_hash;
+  user_hash.Update(contents.user_ids.data(),
+                   contents.user_ids.size() * sizeof(int64_t));
+  for (const float* row : contents.user_rows) {
+    user_hash.Update(row, static_cast<size_t>(row_bytes));
+  }
+  const int64_t user_bytes = num_changed_users * DeltaUserRowBytes(dim);
   IMCAT_RETURN_IF_ERROR(WriteValue(&out, &hash, payload_start));
   IMCAT_RETURN_IF_ERROR(WriteValue(&out, &hash, user_bytes));
-  IMCAT_RETURN_IF_ERROR(WriteValue(
-      &out, &hash, Fnv1aHash(users.data(), static_cast<size_t>(user_bytes))));
+  IMCAT_RETURN_IF_ERROR(WriteValue(&out, &hash, user_hash.value()));
 
-  // Changed-shard entries, payload contiguous after the user table.
+  // Changed-shard entries, payload contiguous after the user rows.
   int64_t offset = payload_start + user_bytes;
-  for (int64_t index : changed_shards) {
+  for (int64_t k = 0; k < num_changed; ++k) {
+    const int64_t index = contents.shard_indices[static_cast<size_t>(k)];
     const int64_t begin = index * items_per_shard;
-    const int64_t end = std::min(begin + items_per_shard, num_items);
-    const int64_t bytes = (end - begin) * row_bytes;
+    const int64_t bytes = shard_bytes(index);
     IMCAT_RETURN_IF_ERROR(WriteValue(&out, &hash, index));
     IMCAT_RETURN_IF_ERROR(WriteValue(&out, &hash, begin));
-    IMCAT_RETURN_IF_ERROR(WriteValue(&out, &hash, end));
+    IMCAT_RETURN_IF_ERROR(
+        WriteValue(&out, &hash, std::min(begin + items_per_shard, num_items)));
     IMCAT_RETURN_IF_ERROR(WriteValue(&out, &hash, offset));
     IMCAT_RETURN_IF_ERROR(WriteValue(&out, &hash, bytes));
     IMCAT_RETURN_IF_ERROR(WriteValue(
         &out, &hash,
-        Fnv1aHash(items.data() + begin * dim, static_cast<size_t>(bytes))));
+        Fnv1aHash(contents.shard_rows[static_cast<size_t>(k)],
+                  static_cast<size_t>(bytes))));
     offset += bytes;
   }
   const uint64_t manifest_checksum = hash.value();
@@ -616,13 +729,16 @@ Status WriteDeltaSnapshot(const std::string& path, const Tensor& users,
       out.Write(&manifest_checksum, sizeof(manifest_checksum)));
 
   IMCAT_RETURN_IF_ERROR(
-      out.Write(users.data(), static_cast<size_t>(user_bytes)));
-  for (int64_t index : changed_shards) {
-    const int64_t begin = index * items_per_shard;
-    const int64_t end = std::min(begin + items_per_shard, num_items);
-    IMCAT_RETURN_IF_ERROR(
-        out.Write(items.data() + begin * dim,
-                  static_cast<size_t>((end - begin) * row_bytes)));
+      out.Write(contents.user_ids.data(),
+                contents.user_ids.size() * sizeof(int64_t)));
+  for (const float* row : contents.user_rows) {
+    IMCAT_RETURN_IF_ERROR(out.Write(row, static_cast<size_t>(row_bytes)));
+  }
+  for (int64_t k = 0; k < num_changed; ++k) {
+    IMCAT_RETURN_IF_ERROR(out.Write(
+        contents.shard_rows[static_cast<size_t>(k)],
+        static_cast<size_t>(
+            shard_bytes(contents.shard_indices[static_cast<size_t>(k)]))));
   }
   return out.Commit();
 }
@@ -643,17 +759,35 @@ StatusOr<DeltaLoadResult> LoadDeltaSnapshot(
   IMCAT_RETURN_IF_ERROR(ReadDeltaManifest(&reader, &result.manifest));
   const DeltaManifest& manifest = result.manifest;
 
-  // The user table must validate in full: a delta replaces the whole user
-  // table, so without it the delta cannot be applied at all.
-  result.users.resize(
-      static_cast<size_t>(manifest.num_users * manifest.dim));
+  // The user-row section must validate in full: without it the delta
+  // cannot be applied at all.
+  const int64_t num_changed_users = manifest.num_changed_users();
+  std::vector<unsigned char> section(
+      static_cast<size_t>(manifest.user_rows.byte_size));
   Status user_status =
-      ReadValidated(&reader, manifest.user_table,
-                    options.shard_read_attempts, result.users.data());
+      ReadValidated(&reader, manifest.user_rows, options.shard_read_attempts,
+                    section.data());
   if (!user_status.ok()) {
     return Status(user_status.code(),
-                  "delta user table failed validation: " +
+                  "delta user rows failed validation: " +
                       user_status.message());
+  }
+  result.user_ids.resize(static_cast<size_t>(num_changed_users));
+  result.user_rows.resize(
+      static_cast<size_t>(num_changed_users * manifest.dim));
+  const size_t id_bytes = result.user_ids.size() * sizeof(int64_t);
+  std::memcpy(result.user_ids.data(), section.data(), id_bytes);
+  std::memcpy(result.user_rows.data(), section.data() + id_bytes,
+              section.size() - id_bytes);
+  int64_t previous = -1;
+  for (int64_t id : result.user_ids) {
+    // Checksummed but nonsensical: a writer bug, never applied.
+    if (id <= previous || id >= manifest.num_users) {
+      return Status::DataLoss(path + ": delta user id " + std::to_string(id) +
+                              " out of order or past " +
+                              std::to_string(manifest.num_users) + " users");
+    }
+    previous = id;
   }
 
   // Each changed shard validates independently. A corrupt shard's payload
@@ -662,18 +796,14 @@ StatusOr<DeltaLoadResult> LoadDeltaSnapshot(
   const size_t num_changed = manifest.changed_shards.size();
   result.shard_ok.assign(num_changed, 1);
   result.shard_data.resize(num_changed);
+  std::vector<float> scratch;
   for (size_t s = 0; s < num_changed; ++s) {
     const DeltaShardEntry& entry = manifest.changed_shards[s];
-    std::vector<float> payload(
-        static_cast<size_t>(entry.shard.end - entry.shard.begin) *
-        static_cast<size_t>(manifest.dim));
-    Status shard_status = ReadValidated(&reader, entry.shard,
-                                        options.shard_read_attempts,
-                                        payload.data());
-    if (shard_status.ok()) {
-      result.shard_data[s] = std::move(payload);
-      continue;
-    }
+    Status shard_status =
+        ReadItemShard(&reader, entry.shard, options.shard_read_attempts,
+                      manifest.dim, ItemLayout::kPanels, &scratch,
+                      &result.shard_data[s]);
+    if (shard_status.ok()) continue;
     if (!options.allow_partial) {
       return Status(shard_status.code(),
                     "delta shard " + std::to_string(entry.shard_index) +

@@ -1,70 +1,52 @@
 #include "serve/snapshot.h"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
 #include "serve/shard_format.h"
-#include "tensor/checkpoint.h"
-#include "tensor/tensor.h"
 #include "util/fault_injector.h"
 
 namespace imcat {
 
 namespace {
 
-/// Loads the monolithic v2 checkpoint layout: exactly two tensors (user
-/// table, item table) over one embedding dimension, validated in full by
-/// the checkpoint trailer checksum before any byte is published. The
-/// result is modelled as one never-quarantined shard spanning the whole
-/// catalogue, so the shard-topology accessors stay meaningful.
-Status LoadMonolithic(const std::string& path, int64_t* num_users,
-                      int64_t* num_items, int64_t* dim,
-                      std::vector<float>* users, std::vector<float>* items) {
-  auto shapes = ReadCheckpointShapes(path);
-  IMCAT_RETURN_IF_ERROR(shapes.status());
-  if (shapes.value().size() != 2) {
-    return Status::InvalidArgument(
-        path + ": serving snapshot needs exactly 2 tensors (user table, "
-               "item table), found " +
-        std::to_string(shapes.value().size()));
-  }
-  const auto [users_rows, user_dim] = shapes.value()[0];
-  const auto [items_rows, item_dim] = shapes.value()[1];
-  if (users_rows <= 0 || items_rows <= 0 || user_dim <= 0 ||
-      user_dim != item_dim) {
-    return Status::InvalidArgument(
-        path + ": user table " + std::to_string(users_rows) + "x" +
-        std::to_string(user_dim) + " and item table " +
-        std::to_string(items_rows) + "x" + std::to_string(item_dim) +
-        " are not factor matrices over one embedding dimension");
-  }
-  // Stage through tensors so the full checksum validation in LoadCheckpoint
-  // runs before any data is published.
-  std::vector<Tensor> tensors;
-  tensors.emplace_back(users_rows, user_dim);
-  tensors.emplace_back(items_rows, item_dim);
-  IMCAT_RETURN_IF_ERROR(LoadCheckpoint(path, &tensors));
+using PanelBuffer = std::shared_ptr<const std::vector<float>>;
 
-  *num_users = users_rows;
-  *num_items = items_rows;
-  *dim = user_dim;
-  users->assign(tensors[0].data(), tensors[0].data() + tensors[0].size());
-  items->reserve(static_cast<size_t>(NumPanels(items_rows) * kPanelItems *
-                                     item_dim));
-  items->assign(tensors[1].data(), tensors[1].data() + tensors[1].size());
-  return Status::OK();
+std::shared_ptr<const ItemShard> MakeShard(ItemShard::State state,
+                                           PanelBuffer panels) {
+  auto shard = std::make_shared<ItemShard>();
+  shard->state = state;
+  shard->panels = std::move(panels);
+  return shard;
 }
 
-/// Writes item rows [begin, end) (row-major, `dim` floats each) into their
-/// panel lanes; null `rows` zeroes the lanes instead.
-void ScatterRows(const float* rows, int64_t begin, int64_t end, int64_t dim,
-                 float* panels) {
-  for (int64_t i = begin; i < end; ++i) {
-    for (int64_t c = 0; c < dim; ++c) {
-      panels[PanelOffset(i, c, dim)] =
-          rows != nullptr ? rows[(i - begin) * dim + c] : 0.0f;
+/// The one zero panel buffer the quarantined shards of a snapshot share,
+/// built on first use and sized for the largest shard the snapshot can
+/// hold (min(items_per_shard, num_items) rows, padded to whole panels).
+class ZeroPanels {
+ public:
+  ZeroPanels(int64_t items_per_shard, int64_t num_items, int64_t dim)
+      : floats_(static_cast<size_t>(
+            NumPanels(std::min(items_per_shard, num_items)) * kPanelItems *
+            dim)) {}
+
+  std::shared_ptr<const ItemShard> Shard() {
+    if (buffer_ == nullptr) {
+      buffer_ = std::make_shared<const std::vector<float>>(floats_, 0.0f);
     }
+    return MakeShard(ItemShard::State::kQuarantined, buffer_);
   }
+
+ private:
+  size_t floats_;
+  PanelBuffer buffer_;
+};
+
+std::shared_ptr<const ItemShard> FreshShard(std::vector<float> panels) {
+  return MakeShard(ItemShard::State::kFresh,
+                   std::make_shared<const std::vector<float>>(
+                       std::move(panels)));
 }
 
 }  // namespace
@@ -75,32 +57,25 @@ StatusOr<std::shared_ptr<EmbeddingSnapshot>> EmbeddingSnapshot::Load(
   if (injector.enabled() && injector.ConsumeLoadFailure()) {
     return Status::IoError(path + ": injected snapshot load failure");
   }
+  auto loaded = LoadShardedSnapshot(path, options, ItemLayout::kPanels);
+  IMCAT_RETURN_IF_ERROR(loaded.status());
+  ShardedLoadResult result = std::move(loaded).value();
   std::shared_ptr<EmbeddingSnapshot> snapshot(new EmbeddingSnapshot());
-  if (IsShardedSnapshotFile(path)) {
-    auto loaded = LoadShardedSnapshot(path, options);
-    IMCAT_RETURN_IF_ERROR(loaded.status());
-    ShardedLoadResult result = std::move(loaded).value();
-    snapshot->num_users_ = result.manifest.num_users;
-    snapshot->num_items_ = result.manifest.num_items;
-    snapshot->dim_ = result.manifest.dim;
-    snapshot->parent_version_ = result.manifest.parent_version;
-    snapshot->items_per_shard_ = result.manifest.items_per_shard;
-    snapshot->quarantined_ = std::move(result.quarantined);
-    snapshot->quarantined_count_ = result.quarantined_count;
-    snapshot->stale_.assign(snapshot->quarantined_.size(), 0);
-    snapshot->users_ = std::move(result.users);
-    snapshot->items_ = std::move(result.items);
-    PackPanelsInPlace(&snapshot->items_, snapshot->num_items_,
-                      snapshot->dim_);
-    return snapshot;
+  snapshot->num_users_ = result.manifest.num_users;
+  snapshot->num_items_ = result.manifest.num_items;
+  snapshot->dim_ = result.manifest.dim;
+  snapshot->parent_version_ = result.manifest.parent_version;
+  snapshot->items_per_shard_ = result.manifest.items_per_shard;
+  snapshot->users_ = std::move(result.users);
+  ZeroPanels zeros(snapshot->items_per_shard_, snapshot->num_items_,
+                   snapshot->dim_);
+  for (size_t s = 0; s < result.item_shards.size(); ++s) {
+    snapshot->shards_.push_back(result.quarantined[s] != 0
+                                    ? zeros.Shard()
+                                    : FreshShard(std::move(
+                                          result.item_shards[s])));
   }
-  IMCAT_RETURN_IF_ERROR(LoadMonolithic(
-      path, &snapshot->num_users_, &snapshot->num_items_, &snapshot->dim_,
-      &snapshot->users_, &snapshot->items_));
-  PackPanelsInPlace(&snapshot->items_, snapshot->num_items_, snapshot->dim_);
-  snapshot->items_per_shard_ = snapshot->num_items_;
-  snapshot->quarantined_.assign(1, 0);
-  snapshot->stale_.assign(1, 0);
+  snapshot->CountShardStates();
   return snapshot;
 }
 
@@ -160,65 +135,50 @@ StatusOr<std::shared_ptr<EmbeddingSnapshot>> EmbeddingSnapshot::ApplyDelta(
   snapshot->parent_version_ = manifest.version;
   snapshot->base_version_ = base->version();
   snapshot->version_ = manifest.version;
-  snapshot->users_ = std::move(result.users);
 
   const int64_t dim = manifest.dim;
+  // The base's user table once, grown with zero rows, shipped rows over it.
+  snapshot->users_.reserve(static_cast<size_t>(manifest.num_users * dim));
+  snapshot->users_ = base->users_;
+  snapshot->users_.resize(static_cast<size_t>(manifest.num_users * dim),
+                          0.0f);
+  for (size_t k = 0; k < result.user_ids.size(); ++k) {
+    std::memcpy(snapshot->users_.data() + result.user_ids[k] * dim,
+                result.user_rows.data() + k * static_cast<size_t>(dim),
+                static_cast<size_t>(dim) * sizeof(float));
+  }
+
+  // A shard whose new range [begin, end) lies entirely inside the base's
+  // catalogue is the base's own shard (same rows, same health); a shard
+  // whose range extends past it (brand-new, or the old tail shard grown by
+  // cold-start items) has no complete fallback and starts quarantined
+  // until the delta ships it.
   const int64_t ips = manifest.items_per_shard;
   const int64_t base_items = base->num_items();
   const int64_t num_shards = (manifest.num_items + ips - 1) / ips;
-  // Panels are global, so the base's panels (tail padding included, which
-  // is zero) are a prefix of the new table; changed shards are scattered
-  // into their lanes below.
-  snapshot->items_.assign(
-      static_cast<size_t>(NumPanels(manifest.num_items) * kPanelItems * dim),
-      0.0f);
-  std::memcpy(snapshot->items_.data(), base->items_.data(),
-              base->items_.size() * sizeof(float));
-
-  // A shard whose new range [begin, end) lies entirely inside the base's
-  // catalogue inherits the base's health; a shard whose range extends past
-  // it (brand-new, or the old tail shard grown by cold-start items) has no
-  // complete fallback and starts quarantined until the delta ships it.
-  snapshot->quarantined_.assign(static_cast<size_t>(num_shards), 0);
-  snapshot->stale_.assign(static_cast<size_t>(num_shards), 0);
+  ZeroPanels zeros(ips, manifest.num_items, dim);
+  snapshot->shards_.reserve(static_cast<size_t>(num_shards));
   for (int64_t s = 0; s < num_shards; ++s) {
     const int64_t end = std::min((s + 1) * ips, manifest.num_items);
-    if (end <= base_items) {
-      snapshot->quarantined_[s] = base->quarantined_[s];
-      snapshot->stale_[s] = base->stale_[s];
-    } else {
-      snapshot->quarantined_[s] = 1;
-    }
+    snapshot->shards_.push_back(end <= base_items ? base->shard(s)
+                                                  : zeros.Shard());
   }
   for (size_t i = 0; i < manifest.changed_shards.size(); ++i) {
     const DeltaShardEntry& entry = manifest.changed_shards[i];
-    const int64_t s = entry.shard_index;
+    std::shared_ptr<const ItemShard>& shard =
+        snapshot->shards_[static_cast<size_t>(entry.shard_index)];
     if (result.shard_ok[i]) {
-      ScatterRows(result.shard_data[i].data(), entry.shard.begin,
-                  entry.shard.end, dim, snapshot->items_.data());
-      snapshot->quarantined_[s] = 0;
-      snapshot->stale_[s] = 0;
-      continue;
-    }
-    // Corrupt changed shard: fall back to the base's old rows when they
-    // cover the whole range and were healthy (stale), else quarantine.
-    const bool covered = entry.shard.end <= base_items;
-    if (covered && !base->shard_quarantined(s)) {
-      snapshot->stale_[s] = 1;
+      shard = FreshShard(std::move(result.shard_data[i]));
+    } else if (entry.shard.end <= base_items &&
+               !base->shard_quarantined(entry.shard_index)) {
+      // Corrupt changed shard over healthy base rows: keep them, stale.
+      shard = MakeShard(ItemShard::State::kStale,
+                        base->shard(entry.shard_index)->panels);
     } else {
-      snapshot->quarantined_[s] = 1;
-      snapshot->stale_[s] = 0;
-      // Quarantined rows are zero-filled by contract; clear any base rows
-      // copied into the prefix of a partially-covered range.
-      ScatterRows(nullptr, entry.shard.begin,
-                  std::min(entry.shard.end, base_items), dim,
-                  snapshot->items_.data());
+      shard = zeros.Shard();
     }
   }
-  for (int64_t s = 0; s < num_shards; ++s) {
-    snapshot->quarantined_count_ += snapshot->quarantined_[s];
-    snapshot->stale_count_ += snapshot->stale_[s];
-  }
+  snapshot->CountShardStates();
   if (snapshot->quarantined_count_ == num_shards) {
     return Status::DataLoss(delta_path +
                             ": applying the delta would quarantine every "
@@ -227,11 +187,25 @@ StatusOr<std::shared_ptr<EmbeddingSnapshot>> EmbeddingSnapshot::ApplyDelta(
   return snapshot;
 }
 
+void EmbeddingSnapshot::CountShardStates() {
+  quarantined_count_ = 0;
+  stale_count_ = 0;
+  for (int64_t s = 0; s < num_shards(); ++s) {
+    quarantined_count_ += shard_quarantined(s) ? 1 : 0;
+    stale_count_ += shard_stale(s) ? 1 : 0;
+  }
+}
+
 std::vector<float> EmbeddingSnapshot::CopyItemRows() const {
   std::vector<float> rows(static_cast<size_t>(num_items_ * dim_));
-  for (int64_t i = 0; i < num_items_; ++i) {
-    for (int64_t c = 0; c < dim_; ++c) {
-      rows[static_cast<size_t>(i * dim_ + c)] = item_value(i, c);
+  for (int64_t s = 0; s < num_shards(); ++s) {
+    const auto [begin, end] = shard_range(s);
+    const float* panels = shard_panels(s);
+    for (int64_t j = 0; j < end - begin; ++j) {
+      for (int64_t c = 0; c < dim_; ++c) {
+        rows[static_cast<size_t>((begin + j) * dim_ + c)] =
+            panels[PanelOffset(j, c, dim_)];
+      }
     }
   }
   return rows;

@@ -14,24 +14,20 @@
 #include "util/status.h"
 
 /// \file snapshot.h
-/// Immutable factor-matrix snapshots for serving. Two on-disk formats load
-/// into the same in-memory snapshot:
+/// Immutable factor-matrix snapshots for serving, loaded from the sharded
+/// v3 format (shard_format.h): the item table is split into fixed
+/// item-range shards, each with its own checksum, so a corrupt shard is
+/// quarantined — its item range drops out of scoring while the rest of the
+/// catalogue serves normally. (Monolithic v1/v2 checkpoints are refused.)
 ///
-///  - the sharded v3 format (shard_format.h): the item table is split into
-///    fixed item-range shards, each with its own checksum, so the loader
-///    streams shard-by-shard (peak staging memory = one shard) and a
-///    corrupt shard is quarantined — its item range drops out of scoring
-///    while the rest of the catalogue serves normally;
-///  - the monolithic v2 checkpoint (trailing FNV-1a over the whole file):
-///    all-or-nothing validation, loaded as a single never-quarantined
-///    shard spanning the entire catalogue.
-///
-/// In memory, user rows stay row-major and the item table is stored as
-/// 16-item dimension-major panels (tensor/score_kernel.h), the layout the
-/// scoring kernel reads. Both loaders pack in place, one panel at a time,
-/// so a load never holds a second full item table; only the tail panel
-/// carries zero padding. Panels span the whole catalogue, independent of
-/// the on-disk shard size, and a quarantined item's lane reads 0.
+/// In memory, user rows stay row-major and each item shard is its own
+/// immutable ItemShard: the shard's rows as 16-item dimension-major panels
+/// local to the shard (tensor/score_kernel.h), the layout the scoring
+/// kernel reads, plus the shard's state (fresh / stale / quarantined). A
+/// snapshot holds one shared_ptr<const ItemShard> per shard, so a delta
+/// builds only the shards it changes and every other shard is the base's
+/// own object. A quarantined shard's panels are zeros (the quarantined
+/// shards of one snapshot share one zero buffer): its items' lanes read 0.
 ///
 /// Snapshots are shared immutably (shared_ptr<const>): the service
 /// hot-swaps them atomically and mid-flight requests keep scoring against
@@ -39,18 +35,34 @@
 
 namespace imcat {
 
-/// Immutable user/item embedding matrices loaded from a checkpoint.
+/// One item shard of a snapshot: its rows as packed panels local to the
+/// shard (item `begin + j` is lane `j % kPanelItems` of panel
+/// `j / kPanelItems`, `NumPanels(end - begin)` panels, zero-padded tail)
+/// and its state. Immutable once built; shared between every snapshot the
+/// shard is unchanged in.
+struct ItemShard {
+  enum class State : uint8_t {
+    kFresh,        ///< Validated rows of this publish.
+    kStale,        ///< The previous publish's rows: a delta failed to
+                   ///< replace them (see EmbeddingSnapshot::ApplyDelta).
+    kQuarantined,  ///< No trustworthy rows; panels are zeros.
+  };
+  State state = State::kFresh;
+  /// The packed panels; a stale shard shares its predecessor's buffer and
+  /// quarantined shards share a zero buffer.
+  std::shared_ptr<const std::vector<float>> panels;
+};
+
+/// Immutable user/item embedding matrices loaded from a sharded snapshot.
 class EmbeddingSnapshot {
  public:
-  /// Loads a snapshot from a sharded v3 snapshot file or a monolithic
-  /// IMCAT checkpoint (v1/v2), auto-detected by magic. The file must hold
-  /// a user table (num_users x d) and an item table (num_items x d) — the
-  /// layout `ExportServingCheckpoint` writes for factor models. Fails with
-  /// kDataLoss on corruption the format cannot contain, kIoError on
-  /// missing/unreadable files and kInvalidArgument on a layout the serving
-  /// path cannot score. With `options.allow_partial` (the default), a
-  /// corrupt item shard of a v3 file quarantines that shard instead of
-  /// failing the load.
+  /// Loads a snapshot from a sharded v3 snapshot file (the layout
+  /// `WriteShardedSnapshot` and `ExportServingCheckpoint` write). Fails
+  /// with kDataLoss on corruption the format cannot contain, kIoError on
+  /// missing/unreadable files and kInvalidArgument on anything that is not
+  /// a v3 snapshot — a monolithic v1/v2 checkpoint included. With
+  /// `options.allow_partial` (the default), a corrupt item shard
+  /// quarantines that shard instead of failing the load.
   static StatusOr<std::shared_ptr<EmbeddingSnapshot>> Load(
       const std::string& path, const SnapshotLoadOptions& options);
 
@@ -70,16 +82,24 @@ class EmbeddingSnapshot {
   ///    `base->version()` (stale or out-of-order delta);
   ///  - kInvalidArgument when the delta's geometry cannot chain onto the
   ///    base (dim / items_per_shard mismatch, or shrinking tables);
-  ///  - kDataLoss when the delta's manifest, user table, or every changed
-  ///    shard fails validation.
+  ///  - kDataLoss when the delta's manifest, user rows, or every changed
+  ///    shard fails validation;
+  ///  - kInvalidArgument naming the version for a format-version-1 delta.
+  ///
+  /// Cost is O(changed): the user table is copied once and the shipped
+  /// rows written over it; a shard the delta leaves alone is the base's
+  /// own ItemShard (pointer-equal), and only changed or grown shards are
+  /// built.
   ///
   /// Per-shard containment (with `options.allow_partial`): a corrupt
   /// changed shard whose item range is fully covered by healthy base data
   /// keeps the base's old rows and is marked **stale** — real scores, one
   /// publish behind — while a corrupt shard that is brand-new (past the
   /// base's catalogue) or was already quarantined in the base is
-  /// **quarantined** (rows zeroed). A shard the delta replaces with valid
-  /// data always comes out fresh, healing base quarantine/staleness.
+  /// **quarantined** (rows read 0). A shard whose range grew past the
+  /// base's catalogue is quarantined until a delta ships it. A shard the
+  /// delta replaces with valid data always comes out fresh, healing base
+  /// quarantine/staleness.
   static StatusOr<std::shared_ptr<EmbeddingSnapshot>> ApplyDelta(
       const std::shared_ptr<const EmbeddingSnapshot>& base,
       const std::string& delta_path,
@@ -95,13 +115,21 @@ class EmbeddingSnapshot {
 
   /// Item `i`'s factor `c`. Unchecked; quarantined items read 0.
   float item_value(int64_t i, int64_t c) const {
-    return items_[static_cast<size_t>(PanelOffset(i, c, dim_))];
+    return shard_panels(i / items_per_shard_)[PanelOffset(
+        i % items_per_shard_, c, dim_)];
   }
 
-  /// The item table as packed panels (tensor/score_kernel.h): item `i` is
-  /// lane `i % kPanelItems` of panel `i / kPanelItems`, zero-padded to
-  /// `NumPanels(num_items())` panels. The form ScorePanels reads.
-  const float* item_panels() const { return items_.data(); }
+  /// Shard `s`'s items as packed panels local to the shard (see
+  /// ItemShard): the form ScorePanels reads, `first_panel` counted from
+  /// the shard's first item.
+  const float* shard_panels(int64_t s) const {
+    return shards_[static_cast<size_t>(s)]->panels->data();
+  }
+
+  /// Shard `s` itself, for checking what a delta shared with its base.
+  const std::shared_ptr<const ItemShard>& shard(int64_t s) const {
+    return shards_[static_cast<size_t>(s)];
+  }
 
   /// A row-major copy of the item table (`num_items() x dim()`).
   std::vector<float> CopyItemRows() const;
@@ -116,7 +144,8 @@ class EmbeddingSnapshot {
   /// Inner-product relevance score for one (user, item) pair. Unchecked.
   float Score(int64_t u, int64_t i) const {
     const float* a = user(u);
-    const float* b = items_.data() + PanelOffset(i, 0, dim_);
+    const float* b = shard_panels(i / items_per_shard_) +
+                     PanelOffset(i % items_per_shard_, 0, dim_);
     float s = 0.0f;
     for (int64_t d = 0; d < dim_; ++d) s += a[d] * b[d * kPanelItems];
     return s;
@@ -134,12 +163,9 @@ class EmbeddingSnapshot {
   /// score would be wrong, not missing).
   StatusOr<float> ScoreChecked(int64_t u, int64_t i) const;
 
-  /// --- Shard topology (v2 files load as one shard spanning the whole
-  /// catalogue; all of these stay meaningful). ---
+  /// --- Shard topology. ---
 
-  int64_t num_shards() const {
-    return static_cast<int64_t>(quarantined_.size());
-  }
+  int64_t num_shards() const { return static_cast<int64_t>(shards_.size()); }
   int64_t items_per_shard() const { return items_per_shard_; }
   int64_t shard_of_item(int64_t i) const { return i / items_per_shard_; }
 
@@ -149,19 +175,24 @@ class EmbeddingSnapshot {
     return {begin, std::min(begin + items_per_shard_, num_items_)};
   }
 
-  bool shard_quarantined(int64_t s) const { return quarantined_[s] != 0; }
+  bool shard_quarantined(int64_t s) const {
+    return shard_state(s) == ItemShard::State::kQuarantined;
+  }
 
   /// True when shard `s` kept the previous publish's rows because a delta
   /// failed to replace them (see ApplyDelta): the data is real but one
   /// publish behind. Stale shards still score — responses touching them
   /// are flagged partial_degraded, not backfilled.
-  bool shard_stale(int64_t s) const { return stale_[s] != 0; }
+  bool shard_stale(int64_t s) const {
+    return shard_state(s) == ItemShard::State::kStale;
+  }
 
   /// True when item `i`'s embedding is trustworthy (its shard validated).
   /// Hot path: one branch when nothing is quarantined. Stale shards count
   /// as available — their rows are real, just old.
   bool item_available(int64_t i) const {
-    return quarantined_count_ == 0 || quarantined_[i / items_per_shard_] == 0;
+    return quarantined_count_ == 0 ||
+           !shard_quarantined(i / items_per_shard_);
   }
 
   int64_t quarantined_count() const { return quarantined_count_; }
@@ -174,7 +205,7 @@ class EmbeddingSnapshot {
     const int64_t first = begin / items_per_shard_;
     const int64_t last = (end - 1) / items_per_shard_;
     for (int64_t s = first; s <= last && s < num_shards(); ++s) {
-      if (stale_[s] != 0) return true;
+      if (shard_stale(s)) return true;
     }
     return false;
   }
@@ -186,8 +217,8 @@ class EmbeddingSnapshot {
   /// Item-id ranges currently stale (adjacent stale shards coalesced).
   std::vector<std::pair<int64_t, int64_t>> StaleRanges() const;
 
-  /// Version recorded in the file's manifest by the exporter (0 for v2
-  /// files and unversioned exports). For a delta-applied snapshot, the
+  /// Version recorded in the file's manifest by the exporter (0 for
+  /// unversioned exports). For a delta-applied snapshot, the
   /// delta manifest's `version`.
   int64_t parent_version() const { return parent_version_; }
 
@@ -204,6 +235,12 @@ class EmbeddingSnapshot {
  private:
   EmbeddingSnapshot() = default;
 
+  ItemShard::State shard_state(int64_t s) const {
+    return shards_[static_cast<size_t>(s)]->state;
+  }
+  /// Recounts quarantined_count_ / stale_count_ from shards_.
+  void CountShardStates();
+
   int64_t num_users_ = 0;
   int64_t num_items_ = 0;
   int64_t dim_ = 0;
@@ -213,10 +250,8 @@ class EmbeddingSnapshot {
   int64_t items_per_shard_ = 0;
   int64_t quarantined_count_ = 0;
   int64_t stale_count_ = 0;
-  std::vector<uint8_t> quarantined_;  ///< Per-shard flags (1 = quarantined).
-  std::vector<uint8_t> stale_;        ///< Per-shard flags (1 = stale rows).
   std::vector<float> users_;
-  std::vector<float> items_;  ///< Packed panels, see item_panels().
+  std::vector<std::shared_ptr<const ItemShard>> shards_;
   mutable std::once_flag item_rows_once_;
   mutable std::vector<float> item_rows_;  ///< Built by item().
 };

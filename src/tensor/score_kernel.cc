@@ -135,22 +135,6 @@ void PackPanels(const float* rows, int64_t num_items, int64_t dim,
   PackPanels(rows, num_items, dim, panels->data());
 }
 
-void PackPanelsInPlace(std::vector<float>* table, int64_t num_items,
-                       int64_t dim) {
-  IMCAT_CHECK(static_cast<int64_t>(table->size()) == num_items * dim);
-  // Panel p occupies exactly the floats rows [16p, 16p + 16) occupy in the
-  // row-major layout, so each panel transposes independently in place.
-  table->resize(static_cast<size_t>(NumPanels(num_items) * kPanelItems * dim),
-                0.0f);
-  std::vector<float> rows(static_cast<size_t>(kPanelItems * dim));
-  for (int64_t p = 0; p < NumPanels(num_items); ++p) {
-    float* panel = table->data() + p * kPanelItems * dim;
-    const int64_t lanes = std::min(kPanelItems, num_items - p * kPanelItems);
-    std::copy(panel, panel + lanes * dim, rows.begin());
-    PackPanels(rows.data(), lanes, dim, panel);
-  }
-}
-
 std::span<const ScoreKernelVariant> ScoreKernelVariants() { return kVariants; }
 
 const ScoreKernelVariant& ActiveScoreKernel() {

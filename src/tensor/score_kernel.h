@@ -62,14 +62,6 @@ void PackPanels(const float* rows, int64_t num_items, int64_t dim,
 void PackPanels(const float* rows, int64_t num_items, int64_t dim,
                 std::vector<float>* panels);
 
-/// Packs a row-major table (`num_items x dim`) into panels in place, one
-/// panel at a time through a `kPanelItems x dim` temporary, and grows it to
-/// `NumPanels(num_items) * kPanelItems * dim` floats (zero tail lanes). No
-/// second full table exists at any point when `table`'s capacity already
-/// covers the padded size.
-void PackPanelsInPlace(std::vector<float>* table, int64_t num_items,
-                       int64_t dim);
-
 /// Scores `num_users` users against `num_panels` panels starting at panel
 /// `first_panel` of the panel table `panels`. `user_rows[u]` points at user
 /// u's factor row (`dim` floats). Panel p's 16 scores land at

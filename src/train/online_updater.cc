@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "serve/shard_format.h"
-#include "serve/snapshot.h"
 #include "serve/snapshot_store.h"
 #include "tensor/checkpoint.h"
 #include "tensor/tensor.h"
@@ -38,7 +37,9 @@ int64_t DecodeI64(const float* chunks) {
 }
 
 /// Meta-tensor layout (each field one encoded int64). Bump kMetaTag when
-/// the field list changes so an old updater checkpoint fails cleanly.
+/// the field list changes. Tag 1 (7 tensors, no dirty-user list) stored a
+/// 0/1 "users dirty" flag where kMetaDirtyUserCount now sits; Restore
+/// still reads it, marking every user dirty when the flag is set.
 enum MetaField : int64_t {
   kMetaTagField = 0,
   kMetaPublishedVersion,
@@ -48,7 +49,7 @@ enum MetaField : int64_t {
   kMetaItemsPerShard,
   kMetaInitialUsers,
   kMetaInitialItems,
-  kMetaUsersDirty,
+  kMetaDirtyUserCount,
   kMetaDuplicates,
   kMetaGrowthRejected,
   kMetaAppliedTotal,
@@ -57,8 +58,10 @@ enum MetaField : int64_t {
   kMetaAdjacencyNnz,
   kNumMetaFields,
 };
-constexpr int64_t kMetaTag = 1;
-constexpr int64_t kUpdaterTensorCount = 7;
+constexpr int64_t kMetaTag = 2;
+constexpr int64_t kUpdaterTensorCount = 8;
+constexpr int64_t kLegacyMetaTag = 1;
+constexpr int64_t kLegacyUpdaterTensorCount = 7;
 
 /// In-place Cholesky factor + solve of the SPD system A x = b, with only
 /// the lower triangle of `a` populated. Returns false when a pivot is not
@@ -129,30 +132,32 @@ StatusOr<std::unique_ptr<OnlineUpdater>> OnlineUpdater::FromSnapshot(
         "fold-in requires l2 > 0 (the ridge term keeps the solve SPD), got " +
         std::to_string(options.l2));
   }
-  auto loaded = EmbeddingSnapshot::Load(snapshot_path);
+  // The file's row-major tables, one buffer per item shard: exactly the
+  // layout the updater solves against and publishes from.
+  auto loaded = LoadShardedSnapshot(snapshot_path, SnapshotLoadOptions{},
+                                    ItemLayout::kRows);
   IMCAT_RETURN_IF_ERROR(loaded.status());
-  const std::shared_ptr<EmbeddingSnapshot>& snapshot = loaded.value();
-  if (snapshot->quarantined_count() > 0) {
+  ShardedLoadResult& snapshot = loaded.value();
+  if (snapshot.quarantined_count > 0) {
     return Status::FailedPrecondition(
         snapshot_path + ": snapshot has " +
-        std::to_string(snapshot->quarantined_count()) +
-        " quarantined shard(s); folding in on top of zeroed rows would "
+        std::to_string(snapshot.quarantined_count) +
+        " quarantined shard(s); folding in on top of missing rows would "
         "publish garbage — seed from a clean snapshot");
   }
+  const ShardManifest& manifest = snapshot.manifest;
   std::unique_ptr<OnlineUpdater> updater(new OnlineUpdater());
   updater->options_ = options;
   updater->ResolveMetrics();
-  updater->dim_ = snapshot->dim();
-  updater->items_per_shard_ = snapshot->items_per_shard();
-  updater->num_users_ = snapshot->num_users();
-  updater->num_items_ = snapshot->num_items();
-  updater->initial_users_ = snapshot->num_users();
-  updater->initial_items_ = snapshot->num_items();
-  updater->published_version_ = snapshot->parent_version();
-  updater->users_.assign(snapshot->user(0),
-                         snapshot->user(0) + snapshot->num_users() *
-                                                 snapshot->dim());
-  updater->items_ = snapshot->CopyItemRows();
+  updater->dim_ = manifest.dim;
+  updater->items_per_shard_ = manifest.items_per_shard;
+  updater->num_users_ = manifest.num_users;
+  updater->num_items_ = manifest.num_items;
+  updater->initial_users_ = manifest.num_users;
+  updater->initial_items_ = manifest.num_items;
+  updater->published_version_ = manifest.parent_version;
+  updater->users_ = std::move(snapshot.users);
+  updater->item_shards_ = std::move(snapshot.item_shards);
   updater->user_items_.resize(static_cast<size_t>(updater->num_users_));
   updater->item_users_.resize(static_cast<size_t>(updater->num_items_));
   for (const auto& [u, i] : seen) {
@@ -257,13 +262,14 @@ Status OnlineUpdater::ApplyPending() {
   const int64_t old_users = num_users_;
   const int64_t old_items = num_items_;
   if (max_user + 1 > num_users_) {
+    for (int64_t u = num_users_; u <= max_user; ++u) dirty_users_.insert(u);
     num_users_ = max_user + 1;
     users_.resize(static_cast<size_t>(num_users_ * dim_), 0.0f);
     user_items_.resize(static_cast<size_t>(num_users_));
   }
   if (max_item + 1 > num_items_) {
     num_items_ = max_item + 1;
-    items_.resize(static_cast<size_t>(num_items_ * dim_), 0.0f);
+    GrowItemShards();
     item_users_.resize(static_cast<size_t>(num_items_));
     const int64_t new_shards =
         (num_items_ + items_per_shard_ - 1) / items_per_shard_;
@@ -288,7 +294,7 @@ Status OnlineUpdater::ApplyPending() {
     SolveItem(i);
     dirty_shards_.insert(i / items_per_shard_);
   }
-  users_dirty_ = true;
+  dirty_users_.insert(touched_users.begin(), touched_users.end());
   const int64_t applied = static_cast<int64_t>(pending_.size());
   applied_edges_total_ += applied;
   edges_applied_total_->Add(applied);
@@ -311,6 +317,25 @@ Status OnlineUpdater::ApplyPending() {
   return Status::OK();
 }
 
+void OnlineUpdater::GrowItemShards() {
+  const int64_t num_shards =
+      (num_items_ + items_per_shard_ - 1) / items_per_shard_;
+  item_shards_.resize(static_cast<size_t>(num_shards));
+  // Only the old tail shard and new shards can change size; each is given
+  // a whole shard's capacity once, so later growth never reallocates it.
+  const int64_t shard_floats = items_per_shard_ * dim_;
+  for (int64_t s = num_shards - 1; s >= 0; --s) {
+    std::vector<float>& rows = item_shards_[static_cast<size_t>(s)];
+    const int64_t size =
+        (std::min((s + 1) * items_per_shard_, num_items_) -
+         s * items_per_shard_) *
+        dim_;
+    if (static_cast<int64_t>(rows.size()) == size) break;
+    rows.reserve(static_cast<size_t>(shard_floats));
+    rows.resize(static_cast<size_t>(size), 0.0f);
+  }
+}
+
 void OnlineUpdater::SolveUser(int64_t u) {
   const std::vector<int64_t>& observed = user_items_[static_cast<size_t>(u)];
   if (observed.empty()) return;
@@ -319,7 +344,7 @@ void OnlineUpdater::SolveUser(int64_t u) {
   std::vector<double> gram(static_cast<size_t>(d * d), 0.0);
   std::vector<double> rhs(static_cast<size_t>(d), 0.0);
   for (int64_t i : observed) {
-    const float* v = items_.data() + i * d;
+    const float* v = ItemRow(i);
     for (int64_t r = 0; r < d; ++r) {
       const double vr = v[r];
       rhs[r] += w * vr;
@@ -350,13 +375,13 @@ void OnlineUpdater::SolveItem(int64_t i) {
   }
   for (int64_t r = 0; r < d; ++r) gram[r * d + r] += options_.l2;
   if (!CholeskySolve(&gram, d, &rhs)) return;
-  float* row = items_.data() + i * d;
+  float* row = ItemRow(i);
   for (int64_t r = 0; r < d; ++r) row[r] = static_cast<float>(rhs[r]);
   solves_total_->Increment();
 }
 
 Status OnlineUpdater::PublishDelta(const std::string& path) {
-  if (!users_dirty_ && dirty_shards_.empty()) {
+  if (dirty_users_.empty() && dirty_shards_.empty()) {
     return Status::FailedPrecondition(
         path + ": nothing to publish — no factor rows changed since the "
                "last publish (apply pending edges first)");
@@ -365,11 +390,21 @@ Status OnlineUpdater::PublishDelta(const std::string& path) {
   delta.items_per_shard = items_per_shard_;
   delta.base_version = published_version_;
   delta.version = published_version_ + 1;
-  const std::vector<int64_t> changed(dirty_shards_.begin(),
-                                     dirty_shards_.end());
-  Tensor users(num_users_, dim_, users_);
-  Tensor items(num_items_, dim_, items_);
-  Status written = WriteDeltaSnapshot(path, users, items, changed, delta);
+  // Views into the updater's own buffers: nothing is copied on the way to
+  // the file.
+  DeltaContents contents;
+  contents.num_users = num_users_;
+  contents.num_items = num_items_;
+  contents.dim = dim_;
+  for (int64_t u : dirty_users_) {
+    contents.user_ids.push_back(u);
+    contents.user_rows.push_back(users_.data() + u * dim_);
+  }
+  for (int64_t s : dirty_shards_) {
+    contents.shard_indices.push_back(s);
+    contents.shard_rows.push_back(item_shards_[static_cast<size_t>(s)].data());
+  }
+  Status written = WriteDeltaSnapshot(path, contents, delta);
   if (options_.journal != nullptr) {
     options_.journal->Append(
         JournalEvent("updater_publish")
@@ -378,12 +413,15 @@ Status OnlineUpdater::PublishDelta(const std::string& path) {
             .Set("path", path)
             .Set("base_version", delta.base_version)
             .Set("version", delta.version)
-            .Set("changed_shards", static_cast<int64_t>(changed.size())));
+            .Set("changed_users",
+                 static_cast<int64_t>(contents.user_ids.size()))
+            .Set("changed_shards",
+                 static_cast<int64_t>(contents.shard_indices.size())));
   }
   IMCAT_RETURN_IF_ERROR(written);
   published_version_ = delta.version;
   dirty_shards_.clear();
-  users_dirty_ = false;
+  dirty_users_.clear();
   publishes_total_->Increment();
   return Status::OK();
 }
@@ -392,9 +430,12 @@ Status OnlineUpdater::PublishFull(const std::string& path) {
   ShardedSnapshotOptions full;
   full.items_per_shard = items_per_shard_;
   full.version = published_version_ + 1;
-  Tensor users(num_users_, dim_, users_);
-  Tensor items(num_items_, dim_, items_);
-  Status written = WriteShardedSnapshot(path, users, items, full);
+  std::vector<const float*> shards;
+  for (const std::vector<float>& rows : item_shards_) {
+    shards.push_back(rows.data());
+  }
+  Status written = WriteShardedSnapshot(path, users_.data(), num_users_,
+                                        shards, num_items_, dim_, full);
   if (options_.journal != nullptr) {
     options_.journal->Append(
         JournalEvent("updater_publish")
@@ -406,7 +447,7 @@ Status OnlineUpdater::PublishFull(const std::string& path) {
   IMCAT_RETURN_IF_ERROR(written);
   published_version_ = full.version;
   dirty_shards_.clear();
-  users_dirty_ = false;
+  dirty_users_.clear();
   publishes_total_->Increment();
   return Status::OK();
 }
@@ -428,7 +469,12 @@ Status OnlineUpdater::Checkpoint(const std::string& path) const {
   std::vector<Tensor> tensors;
   tensors.reserve(kUpdaterTensorCount);
   tensors.emplace_back(num_users_, dim_, users_);
-  tensors.emplace_back(num_items_, dim_, items_);
+  std::vector<float> items;
+  items.reserve(static_cast<size_t>(num_items_ * dim_));
+  for (const std::vector<float>& rows : item_shards_) {
+    items.insert(items.end(), rows.begin(), rows.end());
+  }
+  tensors.emplace_back(num_items_, dim_, std::move(items));
 
   std::vector<float> meta;
   meta.reserve(static_cast<size_t>(kNumMetaFields * kFloatsPerI64));
@@ -444,7 +490,7 @@ Status OnlineUpdater::Checkpoint(const std::string& path) const {
   AppendI64(&meta, items_per_shard_);
   AppendI64(&meta, initial_users_);
   AppendI64(&meta, initial_items_);
-  AppendI64(&meta, users_dirty_ ? 1 : 0);
+  AppendI64(&meta, static_cast<int64_t>(dirty_users_.size()));
   AppendI64(&meta, duplicates_skipped_);
   AppendI64(&meta, growth_rejected_);
   AppendI64(&meta, applied_edges_total_);
@@ -489,6 +535,12 @@ Status OnlineUpdater::Checkpoint(const std::string& path) const {
   tensors.emplace_back(1, static_cast<int64_t>(pending.size()),
                        std::move(pending));
 
+  std::vector<float> dirty_users;
+  for (int64_t u : dirty_users_) AppendI64(&dirty_users, u);
+  if (dirty_users.empty()) dirty_users.push_back(0.0f);
+  tensors.emplace_back(1, static_cast<int64_t>(dirty_users.size()),
+                       std::move(dirty_users));
+
   return SaveCheckpoint(path, tensors);
 }
 
@@ -496,12 +548,16 @@ Status OnlineUpdater::Restore(const std::string& path) {
   auto shapes_or = ReadCheckpointShapes(path);
   IMCAT_RETURN_IF_ERROR(shapes_or.status());
   const auto& shapes = shapes_or.value();
-  if (static_cast<int64_t>(shapes.size()) != kUpdaterTensorCount) {
+  const int64_t tensor_count = static_cast<int64_t>(shapes.size());
+  if (tensor_count != kUpdaterTensorCount &&
+      tensor_count != kLegacyUpdaterTensorCount) {
     return Status::InvalidArgument(
         path + ": not an updater checkpoint (expected " +
-        std::to_string(kUpdaterTensorCount) + " tensors, found " +
-        std::to_string(shapes.size()) + ")");
+        std::to_string(kUpdaterTensorCount) + " or " +
+        std::to_string(kLegacyUpdaterTensorCount) + " tensors, found " +
+        std::to_string(tensor_count) + ")");
   }
+  const bool legacy = tensor_count == kLegacyUpdaterTensorCount;
   std::vector<Tensor> tensors;
   tensors.reserve(shapes.size());
   for (const auto& [rows, cols] : shapes) tensors.emplace_back(rows, cols);
@@ -509,7 +565,8 @@ Status OnlineUpdater::Restore(const std::string& path) {
 
   const Tensor& meta = tensors[2];
   if (meta.size() != kNumMetaFields * kFloatsPerI64 ||
-      DecodeI64(meta.data() + kMetaTagField * kFloatsPerI64) != kMetaTag) {
+      DecodeI64(meta.data() + kMetaTagField * kFloatsPerI64) !=
+          (legacy ? kLegacyMetaTag : kMetaTag)) {
     return Status::InvalidArgument(path +
                                    ": not an updater checkpoint (meta "
                                    "tensor tag mismatch)");
@@ -522,17 +579,22 @@ Status OnlineUpdater::Restore(const std::string& path) {
   const int64_t dim = field(kMetaDim);
   const int64_t pending_count = field(kMetaPendingCount);
   const int64_t dirty_count = field(kMetaDirtyCount);
+  // In a legacy checkpoint the field is the 0/1 "users dirty" flag.
+  const int64_t dirty_user_count = legacy ? 0 : field(kMetaDirtyUserCount);
+  const bool all_users_dirty = legacy && field(kMetaDirtyUserCount) != 0;
   const int64_t nnz = field(kMetaAdjacencyNnz);
   const auto padded = [](int64_t n) { return std::max<int64_t>(n, 1); };
   if (num_users <= 0 || num_items <= 0 || dim <= 0 ||
       field(kMetaItemsPerShard) <= 0 || pending_count < 0 ||
-      dirty_count < 0 || nnz < 0 ||
+      dirty_count < 0 || dirty_user_count < 0 || nnz < 0 ||
       tensors[0].rows() != num_users || tensors[0].cols() != dim ||
       tensors[1].rows() != num_items || tensors[1].cols() != dim ||
       tensors[3].size() != (num_users + 1) * kFloatsPerI64 ||
       tensors[4].size() != padded(nnz * kFloatsPerI64) ||
       tensors[5].size() != padded(dirty_count * kFloatsPerI64) ||
-      tensors[6].size() != padded(pending_count * 2 * kFloatsPerI64)) {
+      tensors[6].size() != padded(pending_count * 2 * kFloatsPerI64) ||
+      (!legacy &&
+       tensors[7].size() != padded(dirty_user_count * kFloatsPerI64))) {
     return Status::InvalidArgument(
         path + ": updater checkpoint is internally inconsistent");
   }
@@ -543,12 +605,16 @@ Status OnlineUpdater::Restore(const std::string& path) {
   initial_users_ = field(kMetaInitialUsers);
   initial_items_ = field(kMetaInitialItems);
   published_version_ = field(kMetaPublishedVersion);
-  users_dirty_ = field(kMetaUsersDirty) != 0;
   duplicates_skipped_ = field(kMetaDuplicates);
   growth_rejected_ = field(kMetaGrowthRejected);
   applied_edges_total_ = field(kMetaAppliedTotal);
   users_.assign(tensors[0].data(), tensors[0].data() + tensors[0].size());
-  items_.assign(tensors[1].data(), tensors[1].data() + tensors[1].size());
+  item_shards_.clear();
+  for (int64_t begin = 0; begin < num_items_; begin += items_per_shard_) {
+    const int64_t end = std::min(begin + items_per_shard_, num_items_);
+    item_shards_.emplace_back(tensors[1].data() + begin * dim_,
+                              tensors[1].data() + end * dim_);
+  }
 
   const float* offsets = tensors[3].data();
   const float* adjacency = tensors[4].data();
@@ -592,6 +658,21 @@ Status OnlineUpdater::Restore(const std::string& path) {
           path + ": updater checkpoint dirty shard out of range");
     }
     dirty_shards_.insert(shard);
+  }
+
+  dirty_users_.clear();
+  // A legacy checkpoint only knew that some user changed: re-ship them all
+  // (a larger first delta, the same published rows).
+  for (int64_t u = 0; all_users_dirty && u < num_users_; ++u) {
+    dirty_users_.insert(u);
+  }
+  for (int64_t k = 0; k < dirty_user_count; ++k) {
+    const int64_t user = DecodeI64(tensors[7].data() + k * kFloatsPerI64);
+    if (user < 0 || user >= num_users_) {
+      return Status::InvalidArgument(
+          path + ": updater checkpoint dirty user out of range");
+    }
+    dirty_users_.insert(user);
   }
 
   pending_.clear();

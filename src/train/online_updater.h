@@ -22,8 +22,11 @@
 /// kept + quarantined == total invariant), applies closed-form
 /// least-squares fold-in solves to the touched user/item factor rows —
 /// including rows for brand-new ids (cold-start fold-in) — and publishes
-/// the result as a *delta* snapshot carrying only the item shards that
-/// changed, chained to the base version the serving layer has live.
+/// the result as a *delta* snapshot carrying only the user rows and item
+/// shards that changed, chained to the base version the serving layer has
+/// live. Item rows are held per shard (the unit a delta ships), so
+/// cold-start growth extends only the tail shard and publishes write
+/// straight from the updater's own buffers.
 ///
 /// Fold-in (the iALS-style per-row solve): with item factors V fixed, the
 /// least-squares user row for user u with observed item set I_u is
@@ -38,14 +41,15 @@
 /// kill-and-resume through Checkpoint/Restore is bit-identical too.
 ///
 /// Cold start: an id at or past the current table size grows the table
-/// (zero rows) and the fold-in solve gives it real factors from its
+/// (zero rows; items grow the tail shard, then new shards) and the fold-in solve gives it real factors from its
 /// observed neighbours. The one unreachable case is a new user observed
 /// only with new items (and vice versa): both rows start zero, so the
 /// solve is zero — those rows stay cold until an edge touching trained
 /// factors arrives.
 ///
 /// Determinism contract: every structure that influences published bytes
-/// (factor tables, adjacency, pending edges, dirty-shard set) is either
+/// (factor tables, adjacency, pending edges, dirty user and shard sets) is
+/// either
 /// checkpointed exactly (floats round-trip bit-identically through
 /// checkpoint v2) or rebuilt deterministically on Restore.
 
@@ -86,8 +90,9 @@ struct OnlineUpdaterOptions {
 /// in-memory state.
 class OnlineUpdater {
  public:
-  /// Seeds the updater from a published serving snapshot (sharded v3 or
-  /// monolithic v2) plus the interactions the model was trained on
+  /// Seeds the updater from a published sharded (v3) serving snapshot,
+  /// read as row-major tables, plus the interactions the model was trained
+  /// on
   /// (`seen` drives the fold-in solves for returning users/items). Fails
   /// with kFailedPrecondition when the snapshot has quarantined shards
   /// (folding in on top of zeroed rows would publish garbage) and
@@ -121,12 +126,13 @@ class OnlineUpdater {
   /// Applies every pending edge: grows the tables for new ids, inserts
   /// the edges into the adjacency, then re-solves touched users
   /// (ascending id) and touched items (ascending id, against the updated
-  /// user factors). Shards whose item rows changed — plus any shard whose
-  /// item range grew — join the dirty set for the next delta publish.
+  /// user factors). Re-solved and grown user rows join the dirty user set;
+  /// shards whose item rows changed — plus any shard whose item range
+  /// grew — join the dirty shard set, both for the next delta publish.
   Status ApplyPending();
 
-  /// Writes the accumulated changes as a delta snapshot: the full user
-  /// table plus only the dirty item shards, chained
+  /// Writes the accumulated changes as a delta snapshot: only the dirty
+  /// user rows and the dirty item shards, chained
   /// published_version() -> published_version() + 1. Refuses with
   /// kFailedPrecondition when nothing changed since the last publish. On
   /// success the dirty set clears and the version chain advances.
@@ -134,8 +140,9 @@ class OnlineUpdater {
 
   /// Writes a full sharded (v3) snapshot at version
   /// published_version() + 1 — the resync path when serving lost the
-  /// delta chain (e.g. after repeated delta_rejected). Also clears the
-  /// dirty set and advances the chain.
+  /// delta chain (e.g. after repeated delta_rejected, or a refused
+  /// format-version-1 delta). Also clears the dirty sets and advances the
+  /// chain.
   Status PublishFull(const std::string& path);
 
   /// Store-routed publishes (snapshot_store.h): the artifact is written
@@ -149,8 +156,11 @@ class OnlineUpdater {
   Status PublishFull(SnapshotStore* store);
 
   /// Saves the complete updater state (factor tables, adjacency, pending
-  /// edges, dirty shards, version chain) atomically in checkpoint v2
-  /// layout. Restore on a fresh updater continues bit-identically.
+  /// edges, dirty users and shards, version chain) atomically in
+  /// checkpoint v2 layout. Restore on a fresh updater continues
+  /// bit-identically. Restore also reads an updater checkpoint written
+  /// before the dirty-user list existed; it then marks every user dirty
+  /// if any was, so the next delta re-ships the whole user table once.
   Status Checkpoint(const std::string& path) const;
   Status Restore(const std::string& path);
 
@@ -187,6 +197,13 @@ class OnlineUpdater {
   /// Ridge fold-in solve for one user/item row (see file comment).
   void SolveUser(int64_t u);
   void SolveItem(int64_t i);
+  /// Item `i`'s row-major factor row inside its shard.
+  float* ItemRow(int64_t i) {
+    return item_shards_[static_cast<size_t>(i / items_per_shard_)].data() +
+           (i % items_per_shard_) * dim_;
+  }
+  /// Sizes item_shards_ for num_items_ (zero rows for new items).
+  void GrowItemShards();
 
   OnlineUpdaterOptions options_;
   int64_t dim_ = 0;
@@ -199,7 +216,8 @@ class OnlineUpdater {
   int64_t initial_items_ = 0;
   int64_t published_version_ = 0;
   std::vector<float> users_;
-  std::vector<float> items_;
+  /// Row-major item rows, one buffer per shard of items_per_shard_ items.
+  std::vector<std::vector<float>> item_shards_;
   /// Adjacency, both directions sorted by id. user_items_ is the
   /// checkpointed source of truth; item_users_ is rebuilt from it.
   std::vector<std::vector<int64_t>> user_items_;
@@ -211,7 +229,8 @@ class OnlineUpdater {
   /// Item shards to include in the next delta (ordered — the delta
   /// writer requires ascending indices).
   std::set<int64_t> dirty_shards_;
-  bool users_dirty_ = false;
+  /// User rows to include in the next delta (re-solved or grown).
+  std::set<int64_t> dirty_users_;
   int64_t duplicates_skipped_ = 0;
   int64_t growth_rejected_ = 0;
   int64_t applied_edges_total_ = 0;

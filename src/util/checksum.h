@@ -6,9 +6,9 @@
 
 /// \file checksum.h
 /// The one FNV-1a implementation shared by every durable format in the
-/// repo: the checkpoint writer/loader (tensor/checkpoint.cc), the
-/// monolithic serving-snapshot loader and the sharded snapshot format's
-/// per-shard + manifest checksums (serve/shard_format.cc). A single
+/// repo: the checkpoint writer/loader (tensor/checkpoint.cc) and the
+/// sharded snapshot and delta formats' per-shard + manifest checksums
+/// (serve/shard_format.cc). A single
 /// definition keeps the on-disk formats mutually verifiable and makes the
 /// constants impossible to fork accidentally.
 ///

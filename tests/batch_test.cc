@@ -44,7 +44,6 @@
 #include "serve/recommender.h"
 #include "serve/shard_format.h"
 #include "serve/snapshot.h"
-#include "tensor/checkpoint.h"
 #include "tensor/score_kernel.h"
 #include "tensor/tensor.h"
 #include "tests/temp_path.h"
@@ -72,10 +71,9 @@ Tensor MakeTable(int64_t rows, int64_t cols, float scale) {
 std::string WriteSnapshot(const char* name, int64_t num_users,
                           int64_t num_items, int64_t dim) {
   const std::string path = TestTempPath(name);
-  std::vector<Tensor> tensors;
-  tensors.push_back(MakeTable(num_users, dim, 0.25f));
-  tensors.push_back(MakeTable(num_items, dim, -0.5f));
-  EXPECT_TRUE(SaveCheckpoint(path, tensors).ok());
+  EXPECT_TRUE(WriteShardedSnapshot(path, MakeTable(num_users, dim, 0.25f),
+                                   MakeTable(num_items, dim, -0.5f))
+                  .ok());
   return path;
 }
 

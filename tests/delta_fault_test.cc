@@ -17,12 +17,19 @@
 //  - the 8-outcome serve accounting identity holds exactly throughout;
 //  - cold-start fold-in: a brand-new user/item gets real (non-popularity)
 //    recommendations after one delta publish;
+//  - shards as shared immutable units: an applied delta shares every
+//    untouched shard with its base, never changes the base's bytes, and a
+//    grown shard it does not ship quarantines and reads 0;
+//  - every byte of the changed-user section flipped or cut refuses the
+//    delta and leaves the base live;
 //  - the updater's ingest accounting (kept + quarantined == total) and
-//    bit-identical kill-and-resume through Checkpoint/Restore.
+//    bit-identical kill-and-resume through Checkpoint/Restore, including a
+//    kill between ApplyPending and PublishDelta.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -37,6 +44,7 @@
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "serve/rec_service.h"
+#include "serve/recommender.h"
 #include "serve/shard_format.h"
 #include "serve/snapshot.h"
 #include "tensor/checkpoint.h"
@@ -530,7 +538,7 @@ TEST_F(DeltaFaultTest, CorruptUserTableRefusesTheDelta) {
   ASSERT_TRUE(updater->PublishDelta(delta).ok());
   auto manifest = ReadDeltaSnapshotManifest(delta);
   ASSERT_TRUE(manifest.ok());
-  FlipByteOnDisk(delta, manifest.value().user_table.byte_offset + 2, 0x40);
+  FlipByteOnDisk(delta, manifest.value().user_rows.byte_offset + 2, 0x40);
 
   auto base_snap = EmbeddingSnapshot::Load(base);
   ASSERT_TRUE(base_snap.ok());
@@ -542,6 +550,185 @@ TEST_F(DeltaFaultTest, CorruptUserTableRefusesTheDelta) {
   EXPECT_EQ(applied.status().code(), StatusCode::kDataLoss);
   std::remove(base.c_str());
   std::remove(delta.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Shards as shared immutable units
+
+/// A brute-force top-k over the row-major tables: the ranking every served
+/// top-k must equal.
+std::vector<ScoredItem> BruteTopK(const Tensor& users, const Tensor& items,
+                                  int64_t user, int64_t k) {
+  std::vector<ScoredItem> all;
+  for (int64_t i = 0; i < items.rows(); ++i) {
+    float score = 0.0f;
+    for (int64_t d = 0; d < kDim; ++d) {
+      score += users.data()[user * kDim + d] * items.data()[i * kDim + d];
+    }
+    all.push_back({i, score});
+  }
+  std::sort(all.begin(), all.end(),
+            [](const ScoredItem& a, const ScoredItem& b) {
+              return a.score != b.score ? a.score > b.score : a.item < b.item;
+            });
+  all.resize(static_cast<size_t>(k));
+  return all;
+}
+
+std::shared_ptr<EmbeddingSnapshot> LoadAnchored(const std::string& path) {
+  auto loaded = EmbeddingSnapshot::Load(path);
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+  // A bare Load leaves the publish-side version at 0; anchor it to the
+  // manifest lineage the way RecService does before chaining deltas.
+  loaded.value()->set_version(loaded.value()->parent_version());
+  return loaded.value();
+}
+
+TEST_F(DeltaFaultTest, ApplyDeltaSharesUntouchedShardsAndLeavesBaseIntact) {
+  const std::string base_path = WriteBase("df_share_base.snap");
+  auto updater = SeedUpdater(base_path);
+  // Shards 0 and 2 change; cold-start item kItems grows tail shard 3;
+  // shard 1 is untouched.
+  ASSERT_TRUE(updater->AddInteractions({{1, 2}, {3, 17}, {0, kItems}}).ok());
+  ASSERT_TRUE(updater->ApplyPending().ok());
+  const std::string delta = TestTempPath("df_share.delta");
+  ASSERT_TRUE(updater->PublishDelta(delta).ok());
+
+  const std::shared_ptr<const EmbeddingSnapshot> base =
+      LoadAnchored(base_path);
+  const std::vector<float> base_items = base->CopyItemRows();
+  const std::vector<float> base_users(base->user(0),
+                                      base->user(0) + kUsers * kDim);
+  auto applied = EmbeddingSnapshot::ApplyDelta(base, delta);
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  const EmbeddingSnapshot& next = *applied.value();
+  ASSERT_EQ(next.num_shards(), kShards);
+  for (int64_t s = 0; s < kShards; ++s) {
+    const bool untouched = s == 1;
+    EXPECT_EQ(next.shard(s) == base->shard(s), untouched) << "shard " << s;
+    EXPECT_EQ(next.shard_panels(s) == base->shard_panels(s), untouched)
+        << "shard " << s;
+  }
+  EXPECT_EQ(next.quarantined_count(), 0);
+
+  // The base's bytes are unchanged, and it still ranks like brute force.
+  EXPECT_EQ(base->CopyItemRows(), base_items);
+  EXPECT_EQ(0, std::memcmp(base->user(0), base_users.data(),
+                           base_users.size() * sizeof(float)));
+  Recommender recommender(RecommenderOptions{3, {}});
+  for (int64_t u = 0; u < kUsers; ++u) {
+    std::vector<ScoredItem> got;
+    ASSERT_TRUE(recommender.TopK(*base, u, 7, 0.0, {}, &got).ok());
+    const std::vector<ScoredItem> expected =
+        BruteTopK(UserTable(), ItemTable(), u, 7);
+    ASSERT_EQ(got.size(), expected.size());
+    for (size_t r = 0; r < got.size(); ++r) {
+      EXPECT_EQ(got[r].item, expected[r].item) << "user " << u;
+      EXPECT_EQ(got[r].score, expected[r].score) << "user " << u;
+    }
+  }
+  std::remove(base_path.c_str());
+  std::remove(delta.c_str());
+}
+
+TEST_F(DeltaFaultTest, GrownShardTheDeltaDoesNotShipReadsZero) {
+  const std::string base_path = WriteBase("df_grown_base.snap");
+  // The catalogue grows 30 -> 33 items but only shard 0 ships: the grown
+  // tail shard 3 ([24, 32)) and the new shard 4 ([32, 33)) have no
+  // complete rows anywhere, so both quarantine and read 0 — including
+  // items 24..29, whose base rows must not leak through.
+  const std::string delta = TestTempPath("df_grown.delta");
+  ASSERT_TRUE(WriteDeltaSnapshot(delta, UserTable(),
+                                 MakeTable(kItems + 3, kDim, -0.5f), {0},
+                                 {kIps, kBaseVersion, kBaseVersion + 1})
+                  .ok());
+  const std::shared_ptr<const EmbeddingSnapshot> base =
+      LoadAnchored(base_path);
+  ASSERT_NE(base->item_value(25, 0), 0.0f);
+  auto applied = EmbeddingSnapshot::ApplyDelta(base, delta);
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  const EmbeddingSnapshot& next = *applied.value();
+  EXPECT_EQ(next.num_items(), kItems + 3);
+  EXPECT_EQ(next.quarantined_count(), 2);
+  EXPECT_TRUE(next.shard_quarantined(3));
+  EXPECT_TRUE(next.shard_quarantined(4));
+  // Both quarantined shards share the snapshot's one zero buffer.
+  EXPECT_EQ(next.shard_panels(3), next.shard_panels(4));
+  for (int64_t i = 24; i < kItems + 3; ++i) {
+    EXPECT_FALSE(next.item_available(i));
+    for (int64_t d = 0; d < kDim; ++d) {
+      EXPECT_EQ(next.item_value(i, d), 0.0f) << "item " << i;
+    }
+    EXPECT_EQ(next.Score(1, i), 0.0f);
+  }
+  Recommender recommender;
+  std::vector<ScoredItem> got;
+  int64_t skipped = 0;
+  ASSERT_TRUE(recommender
+                  .TopK(next, 1, 40, 0.0, {}, 0, 0, &got, &skipped)
+                  .ok());
+  EXPECT_EQ(skipped, 9);
+  EXPECT_EQ(got.size(), 24u);
+  for (const ScoredItem& item : got) EXPECT_LT(item.item, 24);
+  std::remove(base_path.c_str());
+  std::remove(delta.c_str());
+}
+
+TEST_F(DeltaFaultTest, UserRowSectionFlipAndTruncationSweepsKeepBaseLive) {
+  const std::string base_path = WriteBase("df_usersweep_base.snap");
+  auto updater = SeedUpdater(base_path);
+  ASSERT_TRUE(updater->AddInteractions({{1, 2}, {3, 17}}).ok());
+  ASSERT_TRUE(updater->ApplyPending().ok());
+  const std::string delta = TestTempPath("df_usersweep.delta");
+  ASSERT_TRUE(updater->PublishDelta(delta).ok());
+  const std::string intact = ReadFileBytes(delta);
+  auto manifest = ReadDeltaSnapshotManifest(delta);
+  ASSERT_TRUE(manifest.ok());
+  // Only the two re-solved users ship: ids then rows.
+  const ShardEntry section = manifest.value().user_rows;
+  ASSERT_EQ(manifest.value().num_changed_users(), 2);
+  ASSERT_EQ(section.byte_size, 2 * (8 + kDim * 4));
+
+  const std::shared_ptr<const EmbeddingSnapshot> base =
+      LoadAnchored(base_path);
+  const std::vector<float> base_items = base->CopyItemRows();
+  const std::string mutated = TestTempPath("df_usersweep_mutated.delta");
+  for (int64_t offset = section.byte_offset;
+       offset < section.byte_offset + section.byte_size; ++offset) {
+    SCOPED_TRACE("offset " + std::to_string(offset));
+    std::string flipped = intact;
+    flipped[static_cast<size_t>(offset)] ^=
+        static_cast<char>(1 << (offset % 8));
+    WriteFileBytes(mutated, flipped);
+    auto bad = EmbeddingSnapshot::ApplyDelta(base, mutated);
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.status().code(), StatusCode::kDataLoss);
+
+    WriteFileBytes(mutated, intact.substr(0, static_cast<size_t>(offset)));
+    auto torn = EmbeddingSnapshot::ApplyDelta(base, mutated);
+    ASSERT_FALSE(torn.ok());
+    EXPECT_EQ(torn.status().code(), StatusCode::kDataLoss);
+  }
+  EXPECT_EQ(base->CopyItemRows(), base_items);
+
+  // Through the service: a refused delta leaves the base live and serving,
+  // and the intact copy then applies.
+  MetricsRegistry metrics;
+  RecService service(DeltaFallback(), DeltaServiceOptions(&metrics, nullptr));
+  ASSERT_TRUE(service.LoadSnapshot(base_path).ok());
+  std::string flipped = intact;
+  flipped[static_cast<size_t>(section.byte_offset + section.byte_size - 1)] ^=
+      0x04;
+  WriteFileBytes(mutated, flipped);
+  EXPECT_EQ(service.LoadDelta(mutated).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(service.snapshot()->version(), kBaseVersion);
+  RecResponse during = service.Recommend(RangeReq(1, 5, 0, 0));
+  ASSERT_TRUE(during.status.ok());
+  EXPECT_FALSE(during.degraded);
+  ASSERT_TRUE(service.LoadDelta(delta).ok());
+  EXPECT_EQ(service.snapshot()->version(), kBaseVersion + 1);
+  ExpectAccountingIdentity(metrics.Snapshot());
+  for (const auto& p : {base_path, delta, mutated}) std::remove(p.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -566,7 +753,7 @@ TEST_F(DeltaFaultTest, TruncatedDeltaLeavesBaseServingAndRetryRecovers) {
   // delta cannot be applied, the base stays live.
   std::filesystem::resize_file(
       delta,
-      static_cast<uintmax_t>(manifest.value().user_table.byte_offset + 7));
+      static_cast<uintmax_t>(manifest.value().user_rows.byte_offset + 7));
   Status torn = service.LoadDelta(delta);
   ASSERT_FALSE(torn.ok());
   EXPECT_EQ(service.snapshot()->version(), kBaseVersion);
@@ -857,6 +1044,119 @@ TEST_F(DeltaFaultTest, KillAndResumePublishesBitIdenticalDeltas) {
   EXPECT_EQ(applied.value()->num_users(), kUsers + 1);
   EXPECT_EQ(applied.value()->num_items(), kItems + 1);
   for (const auto& p : {base, ckpt, delta_a, delta_b, ckpt_a, ckpt_b}) {
+    std::remove(p.c_str());
+  }
+}
+
+TEST_F(DeltaFaultTest, KillBetweenApplyAndPublishResumesBitIdentically) {
+  const std::string base = WriteBase("df_killpub_base.snap");
+  // Updater A applies a batch (re-solved users, a grown user and item) and
+  // is killed before it publishes; B resumes from that checkpoint. The
+  // dirty user and shard sets must survive, so both publish the same bytes.
+  auto a = SeedUpdater(base);
+  ASSERT_TRUE(
+      a->AddInteractions({{1, 2}, {3, 17}, {kUsers, 5}, {2, kItems}}).ok());
+  ASSERT_TRUE(a->ApplyPending().ok());
+  EXPECT_EQ(a->pending_edges(), 0);
+  const std::string ckpt = TestTempPath("df_killpub.ckpt");
+  ASSERT_TRUE(a->Checkpoint(ckpt).ok());
+  const std::string delta_a = TestTempPath("df_killpub_a.delta");
+  ASSERT_TRUE(a->PublishDelta(delta_a).ok());
+
+  auto restored = OnlineUpdater::FromCheckpoint(ckpt, {});
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  std::unique_ptr<OnlineUpdater> b = std::move(restored).value();
+  EXPECT_EQ(b->pending_edges(), 0);
+  EXPECT_EQ(b->dirty_shard_count(), 3);  // Shards 0, 2 and grown 3.
+  const std::string delta_b = TestTempPath("df_killpub_b.delta");
+  ASSERT_TRUE(b->PublishDelta(delta_b).ok());
+  EXPECT_EQ(ReadFileBytes(delta_a), ReadFileBytes(delta_b));
+  auto manifest = ReadDeltaSnapshotManifest(delta_b);
+  ASSERT_TRUE(manifest.ok());
+  // Users 1, 2, 3 re-solved plus the grown user kUsers.
+  EXPECT_EQ(manifest.value().num_changed_users(), 4);
+  // Nothing is left dirty after the publish: a second one is refused.
+  EXPECT_EQ(b->PublishDelta(delta_b).code(), StatusCode::kFailedPrecondition);
+  for (const auto& p : {base, ckpt, delta_a, delta_b}) std::remove(p.c_str());
+}
+
+/// Rewrites a current updater checkpoint in the layout written before the
+/// dirty-user list existed: meta tag 1, the dirty-user count field holding
+/// a 0/1 "users dirty" flag, and no eighth (dirty-user) tensor. An int64
+/// meta field is three float chunks, low first.
+void WriteLegacyUpdaterCheckpoint(const std::string& from,
+                                  const std::string& to, bool users_dirty) {
+  auto shapes = ReadCheckpointShapes(from);
+  ASSERT_TRUE(shapes.ok()) << shapes.status().ToString();
+  ASSERT_EQ(shapes.value().size(), 8u);
+  std::vector<Tensor> tensors;
+  for (const auto& [rows, cols] : shapes.value()) {
+    tensors.emplace_back(rows, cols);
+  }
+  ASSERT_TRUE(LoadCheckpoint(from, &tensors).ok());
+  float* meta = tensors[2].data();
+  constexpr int64_t kTagField = 0;
+  constexpr int64_t kDirtyUsersField = 8;
+  meta[kTagField * 3] = 1.0f;
+  meta[kDirtyUsersField * 3] = users_dirty ? 1.0f : 0.0f;
+  meta[kDirtyUsersField * 3 + 1] = 0.0f;
+  meta[kDirtyUsersField * 3 + 2] = 0.0f;
+  tensors.pop_back();
+  ASSERT_TRUE(SaveCheckpoint(to, tensors).ok());
+}
+
+TEST_F(DeltaFaultTest, LegacyUpdaterCheckpointResumesWithEveryUserDirty) {
+  const std::string base = WriteBase("df_legacy_base.snap");
+  auto a = SeedUpdater(base);
+  ASSERT_TRUE(
+      a->AddInteractions({{1, 2}, {3, 17}, {kUsers, 5}, {2, kItems}}).ok());
+  ASSERT_TRUE(a->ApplyPending().ok());
+  const std::string ckpt = TestTempPath("df_legacy_new.ckpt");
+  ASSERT_TRUE(a->Checkpoint(ckpt).ok());
+  const std::string delta_a = TestTempPath("df_legacy_a.delta");
+  ASSERT_TRUE(a->PublishDelta(delta_a).ok());
+  auto base_snap = EmbeddingSnapshot::Load(base);
+  ASSERT_TRUE(base_snap.ok()) << base_snap.status().ToString();
+  base_snap.value()->set_version(base_snap.value()->parent_version());
+  auto expected = EmbeddingSnapshot::ApplyDelta(base_snap.value(), delta_a);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  const std::string legacy = TestTempPath("df_legacy_old.ckpt");
+  const std::string delta_b = TestTempPath("df_legacy_b.delta");
+  for (const bool users_dirty : {true, false}) {
+    SCOPED_TRACE(users_dirty ? "users dirty" : "users clean");
+    WriteLegacyUpdaterCheckpoint(ckpt, legacy, users_dirty);
+    auto restored = OnlineUpdater::FromCheckpoint(legacy, {});
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    std::unique_ptr<OnlineUpdater> b = std::move(restored).value();
+    EXPECT_EQ(b->dirty_shard_count(), 3);
+    ASSERT_TRUE(b->PublishDelta(delta_b).ok());
+    auto manifest = ReadDeltaSnapshotManifest(delta_b);
+    ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+    // The flag set re-ships every user; a clear flag ships none.
+    EXPECT_EQ(manifest.value().num_changed_users(),
+              users_dirty ? kUsers + 1 : 0);
+    if (!users_dirty) continue;
+    // A larger delta, the same rows: it applies to what A's delta gives.
+    auto got = EmbeddingSnapshot::ApplyDelta(base_snap.value(), delta_b);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    const EmbeddingSnapshot& want = *expected.value();
+    ASSERT_EQ(got.value()->num_users(), want.num_users());
+    ASSERT_EQ(got.value()->num_items(), want.num_items());
+    for (int64_t u = 0; u < want.num_users(); ++u) {
+      EXPECT_EQ(std::memcmp(got.value()->user(u), want.user(u),
+                            kDim * sizeof(float)),
+                0)
+          << "user " << u;
+    }
+    for (int64_t i = 0; i < want.num_items(); ++i) {
+      EXPECT_EQ(std::memcmp(got.value()->item(i), want.item(i),
+                            kDim * sizeof(float)),
+                0)
+          << "item " << i;
+    }
+  }
+  for (const auto& p : {base, ckpt, legacy, delta_a, delta_b}) {
     std::remove(p.c_str());
   }
 }

@@ -25,7 +25,7 @@
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "serve/rec_service.h"
-#include "tensor/checkpoint.h"
+#include "serve/shard_format.h"
 #include "tensor/tensor.h"
 #include "tests/temp_path.h"
 #include "train/trainer.h"
@@ -478,12 +478,9 @@ Tensor ServeTable(int64_t rows, int64_t cols, float scale) {
 TEST(ServiceMetricsTest, RequestAccountingIdentityHoldsAfterResolution) {
   constexpr int64_t kUsers = 12, kItems = 30, kDim = 4;
   const std::string path = TestTempPath("obs_service_snapshot.ckpt");
-  {
-    std::vector<Tensor> tensors;
-    tensors.push_back(ServeTable(kUsers, kDim, 0.25f));
-    tensors.push_back(ServeTable(kItems, kDim, -0.5f));
-    ASSERT_TRUE(SaveCheckpoint(path, tensors).ok());
-  }
+  ASSERT_TRUE(WriteShardedSnapshot(path, ServeTable(kUsers, kDim, 0.25f),
+                                   ServeTable(kItems, kDim, -0.5f))
+                  .ok());
   EdgeList train;
   for (int64_t u = 0; u < kUsers; ++u) train.push_back({u, u % kItems});
   auto fallback = std::make_shared<PopularityRanker>(kItems, train);

@@ -36,7 +36,6 @@
 #include "serve/overload.h"
 #include "serve/rec_service.h"
 #include "serve/shard_format.h"
-#include "tensor/checkpoint.h"
 #include "tensor/tensor.h"
 #include "tests/temp_path.h"
 #include "train/online_updater.h"
@@ -61,11 +60,9 @@ Tensor MakeTable(int64_t rows, int64_t cols, float scale) {
   return Tensor(rows, cols, std::move(values));
 }
 
-void WriteV2Snapshot(const std::string& path, float scale) {
-  std::vector<Tensor> tensors;
-  tensors.push_back(MakeTable(kNumUsers, kDim, scale));
-  tensors.push_back(MakeTable(kNumItems, kDim, -scale));
-  Status status = SaveCheckpoint(path, tensors);
+void WriteSnapshot(const std::string& path, float scale) {
+  Status status = WriteShardedSnapshot(path, MakeTable(kNumUsers, kDim, scale),
+                                       MakeTable(kNumItems, kDim, -scale));
   ASSERT_TRUE(status.ok()) << status.ToString();
 }
 
@@ -294,7 +291,7 @@ TEST_F(OverloadTest, ScriptedTraceIsBitIdenticalAcrossRuns) {
 
 TEST_F(OverloadTest, MeasuredQueueWaitIsThreadedIntoResponses) {
   const std::string path = TestTempPath("overload_wait_snapshot.ckpt");
-  WriteV2Snapshot(path, 0.125f);
+  WriteSnapshot(path, 0.125f);
 
   MetricsRegistry metrics;
   RecServiceOptions options;
@@ -323,7 +320,7 @@ TEST_F(OverloadTest, MeasuredQueueWaitIsThreadedIntoResponses) {
 
 TEST_F(OverloadTest, RequestExpiredInQueueIsRefusedNotScored) {
   const std::string path = TestTempPath("overload_expired_snapshot.ckpt");
-  WriteV2Snapshot(path, 0.125f);
+  WriteSnapshot(path, 0.125f);
 
   // The service clock is a fake the test advances by hand; the worker is
   // blocked by a FaultInjector-slowed request (real time) while the fake
@@ -374,7 +371,7 @@ TEST_F(OverloadTest, RequestExpiredInQueueIsRefusedNotScored) {
 
 TEST_F(OverloadTest, PredictedLateShedAtAdmissionAfterMeasuredWait) {
   const std::string path = TestTempPath("overload_predicted_snapshot.ckpt");
-  WriteV2Snapshot(path, 0.125f);
+  WriteSnapshot(path, 0.125f);
 
   auto clock = std::make_shared<std::atomic<double>>(0.0);
   MetricsRegistry metrics;
@@ -531,7 +528,7 @@ LadderRunResult RunLadderScript(int64_t num_workers,
 
 TEST_F(OverloadTest, LadderTransitionsBitIdenticalAcrossWorkerCounts) {
   const std::string path = TestTempPath("overload_ladder_snapshot.ckpt");
-  WriteV2Snapshot(path, 0.125f);
+  WriteSnapshot(path, 0.125f);
 
   const std::string journal_one = TestTempPath("overload_ladder_w1.jsonl");
   const std::string journal_four = TestTempPath("overload_ladder_w4.jsonl");
@@ -559,7 +556,7 @@ TEST_F(OverloadTest, LadderTransitionsBitIdenticalAcrossWorkerCounts) {
 
 TEST_F(OverloadTest, BrownoutLevelTwoServesBatchFromPopularityFallback) {
   const std::string path = TestTempPath("overload_brownout_snapshot.ckpt");
-  WriteV2Snapshot(path, 0.125f);
+  WriteSnapshot(path, 0.125f);
 
   // Drive the ladder to max_level with the same auto-advancing clock as
   // the script above, then check the level-2 policy: batch requests get

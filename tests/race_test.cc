@@ -1,7 +1,8 @@
 // Concurrency stress suite (ctest label `race`). These tests exist to be
 // run under ThreadSanitizer (`scripts/check.sh --tsan`) as much as under
 // the plain build: each one drives a genuinely racy schedule — snapshot
-// hot-reload racing scoring racing shutdown churn, Recommend racing
+// hot-reload racing scoring racing shutdown churn, readers scoring old
+// snapshots while deltas swap in shard-sharing successors, Recommend racing
 // Shutdown, concurrent FaultInjector arm/fire, pool teardown with tasks in
 // flight — and asserts only schedule-independent invariants (every future
 // resolves to a definite status, every task is resolved exactly once,
@@ -29,8 +30,8 @@
 #include "obs/scrape.h"
 #include "serve/circuit_breaker.h"
 #include "serve/rec_service.h"
+#include "serve/recommender.h"
 #include "serve/shard_format.h"
-#include "tensor/checkpoint.h"
 #include "tensor/tensor.h"
 #include "tests/temp_path.h"
 #include "train/online_updater.h"
@@ -57,10 +58,8 @@ Tensor MakeTable(int64_t rows, int64_t cols, float scale) {
 }
 
 void WriteSnapshot(const std::string& path, float scale) {
-  std::vector<Tensor> tensors;
-  tensors.push_back(MakeTable(kNumUsers, kDim, scale));
-  tensors.push_back(MakeTable(kNumItems, kDim, -scale));
-  Status status = SaveCheckpoint(path, tensors);
+  Status status = WriteShardedSnapshot(path, MakeTable(kNumUsers, kDim, scale),
+                                       MakeTable(kNumItems, kDim, -scale));
   ASSERT_TRUE(status.ok()) << status.ToString();
 }
 
@@ -516,6 +515,101 @@ TEST_F(RaceTest, UpdaterPublishingDeltasWhileServingStaysConsistent) {
       snapshot.CounterValue("serve_requests_error_total") +
       snapshot.CounterValue("serve_requests_cancelled_total");
   EXPECT_EQ(snapshot.CounterValue("serve_requests_total"), accounted);
+  std::remove(base_path.c_str());
+}
+
+// Shards as shared immutable units under concurrency: reader threads hold
+// old snapshots and keep scoring them while LoadDelta swaps in successors
+// that share every untouched shard with their base. Dropping the last
+// reference to an old snapshot on a reader thread races the writer
+// building the next successor from the same shards — the shared refcounts
+// TSan must see as race-free. Invariant: a held snapshot never changes
+// under its reader (two scoring passes over it agree bit for bit, and
+// every returned score is that snapshot's own inner product).
+TEST_F(RaceTest, ReadersScoreOldSnapshotsWhileDeltasSwapInSharingSuccessors) {
+  const std::string base_path = TestTempPath("race_share_base.snap");
+  {
+    ShardedSnapshotOptions snapshot_options;
+    snapshot_options.items_per_shard = 16;
+    snapshot_options.version = 1;
+    ASSERT_TRUE(WriteShardedSnapshot(base_path,
+                                     MakeTable(kNumUsers, kDim, 0.125f),
+                                     MakeTable(kNumItems, kDim, -0.125f),
+                                     snapshot_options)
+                    .ok());
+  }
+  RecService service(RaceFallback(), RaceOptions(1));
+  ASSERT_TRUE(service.LoadSnapshot(base_path).ok());
+  auto seeded = OnlineUpdater::FromSnapshot(base_path, {}, {});
+  ASSERT_TRUE(seeded.ok()) << seeded.status().ToString();
+  std::unique_ptr<OnlineUpdater> updater = std::move(seeded.value());
+
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> mismatches{0};
+  std::atomic<int64_t> passes{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&service, &stop, &mismatches, &passes, t] {
+      Recommender recommender(RecommenderOptions{7, {}});
+      // A short FIFO of held snapshots keeps old ones alive across swaps;
+      // the oldest is released here, on the reader thread.
+      std::vector<std::shared_ptr<const EmbeddingSnapshot>> held;
+      int64_t user = t;
+      while (!stop.load()) {
+        held.push_back(service.snapshot());
+        if (held.size() > 4) held.erase(held.begin());
+        for (const auto& snapshot : held) {
+          const int64_t u = user++ % kNumUsers;
+          std::vector<ScoredItem> first, second;
+          if (!recommender.TopK(*snapshot, u, 5, 0.0, {}, &first).ok() ||
+              !recommender.TopK(*snapshot, u, 5, 0.0, {}, &second).ok() ||
+              first.size() != second.size()) {
+            ++mismatches;
+            continue;
+          }
+          for (size_t r = 0; r < first.size(); ++r) {
+            if (first[r].item != second[r].item ||
+                std::memcmp(&first[r].score, &second[r].score,
+                            sizeof(float)) != 0 ||
+                first[r].score != snapshot->Score(u, first[r].item)) {
+              ++mismatches;
+            }
+          }
+          ++passes;
+        }
+      }
+    });
+  }
+
+  constexpr int kRounds = 10;
+  int64_t shared_total = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    // Each round touches one item shard, so its successor shares the rest.
+    const int64_t item = (round * 16 + 3) % kNumItems;
+    ASSERT_TRUE(updater->AddInteractions({{round % kNumUsers, item}}).ok());
+    ASSERT_TRUE(updater->ApplyPending().ok());
+    const std::string delta_path = TestTempPath(
+        ("race_share_" + std::to_string(round) + ".delta").c_str());
+    ASSERT_TRUE(updater->PublishDelta(delta_path).ok());
+    const std::shared_ptr<const EmbeddingSnapshot> before = service.snapshot();
+    Status load = service.LoadDelta(delta_path);
+    ASSERT_TRUE(load.ok()) << "round " << round << ": " << load.ToString();
+    const std::shared_ptr<const EmbeddingSnapshot> after = service.snapshot();
+    for (int64_t s = 0; s < after->num_shards(); ++s) {
+      if (after->shard(s) == before->shard(s)) ++shared_total;
+    }
+    std::remove(delta_path.c_str());
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  stop = true;
+  for (std::thread& r : readers) r.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GT(passes.load(), 0);
+  // 5 shards per snapshot, one rewritten per round: 4 shared each time.
+  EXPECT_EQ(shared_total, kRounds * 4);
+  EXPECT_EQ(service.snapshot()->version(), 1 + kRounds);
+  service.Shutdown();
   std::remove(base_path.c_str());
 }
 

@@ -12,8 +12,10 @@
 //     scores and top-k rankings equal a brute force over the row-major
 //     tables the snapshot was written from — for shard sizes that do not
 //     divide the panel width, ranges and brownout budgets that start
-//     mid-panel, quarantined lanes (which read 0), and a delta-applied
-//     snapshot, which equals a full load of the same tables bit for bit.
+//     mid-panel, quarantined lanes (which read 0), a sweep of shard sizes
+//     x block sizes over ranges that start and end mid-shard, and a
+//     delta-applied snapshot, which equals a full load of the same tables
+//     bit for bit.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -138,16 +140,18 @@ TEST(ScoreKernelTest, DispatchPicksTheFirstSupportedVariant) {
   EXPECT_TRUE(ScoreKernelVariants().back().supported());
 }
 
-TEST(ScoreKernelTest, PackInPlaceEqualsPackIntoFreshBuffer) {
+TEST(ScoreKernelTest, PackIntoReusedVectorEqualsPackIntoFreshBuffer) {
+  // A reused vector starts larger and full of garbage: the pack must size
+  // it exactly and overwrite every float, tail padding included.
+  std::vector<float> reused(4096, -7.0f);
   for (int64_t items : {1, 15, 16, 17, 1029}) {
     const std::vector<float> rows = RandomTable(items, 5, 3);
     std::vector<float> fresh(
         static_cast<size_t>(NumPanels(items) * kPanelItems * 5), -1.0f);
     PackPanels(rows.data(), items, 5, fresh.data());
-    std::vector<float> in_place = rows;
-    PackPanelsInPlace(&in_place, items, 5);
-    ASSERT_EQ(in_place.size(), fresh.size());
-    EXPECT_EQ(0, std::memcmp(in_place.data(), fresh.data(),
+    PackPanels(rows.data(), items, 5, &reused);
+    ASSERT_EQ(reused.size(), fresh.size());
+    EXPECT_EQ(0, std::memcmp(reused.data(), fresh.data(),
                              fresh.size() * sizeof(float)))
         << "items=" << items;
     for (int64_t i = 0; i < items; ++i) {
@@ -375,11 +379,16 @@ TEST(PanelSnapshotTest, DeltaAppliedSnapshotEqualsFullLoadBitForBit) {
     ASSERT_EQ(a.num_items(), f.num_items());
     EXPECT_EQ(a.quarantined_count(), 0);
     EXPECT_EQ(a.stale_count(), 0);
-    // The whole panel table, tail padding included.
-    EXPECT_EQ(0, std::memcmp(a.item_panels(), f.item_panels(),
-                             static_cast<size_t>(NumPanels(f.num_items()) *
-                                                 kPanelItems * kDim) *
-                                 sizeof(float)));
+    // Every shard's panels, tail padding included.
+    ASSERT_EQ(a.num_shards(), f.num_shards());
+    for (int64_t s = 0; s < f.num_shards(); ++s) {
+      const auto [begin, end] = f.shard_range(s);
+      EXPECT_EQ(0, std::memcmp(a.shard_panels(s), f.shard_panels(s),
+                               static_cast<size_t>(NumPanels(end - begin) *
+                                                   kPanelItems * kDim) *
+                                   sizeof(float)))
+          << "shard " << s;
+    }
     EXPECT_EQ(0, std::memcmp(a.user(0), f.user(0),
                              static_cast<size_t>(kUsers * kDim) *
                                  sizeof(float)));
@@ -387,6 +396,69 @@ TEST(PanelSnapshotTest, DeltaAppliedSnapshotEqualsFullLoadBitForBit) {
     std::remove(base_path.c_str());
     std::remove(full_path.c_str());
     std::remove(delta_path.c_str());
+  }
+}
+
+// Shard-boundary sweep: the scoring loop splits every block at shard
+// boundaries and scores each piece from its own shard's panels, so shard
+// sizes that are smaller, equal to, misaligned with and larger than both
+// the panel width and the block size — over ranges and brownout budgets
+// that start and end mid-shard — must all rank like the row-major tables.
+TEST(PanelSnapshotTest, ShardAndBlockSizeSweepMatchesRowMajorBruteForce) {
+  constexpr int64_t kSweepItems = 4500;  // Two shards at 4096 per shard.
+  constexpr int64_t kTop = 12;
+  const Tables t = MakeTables(kSweepItems, 71);
+  const std::vector<int64_t> exclude = {0, 99, 100, 4095, 4096, 4499};
+  struct Range {
+    int64_t begin, end, max_items;
+  };
+  const Range ranges[] = {
+      {0, 0, 0}, {3, 4493, 0}, {101, 4400, 4010}, {4090, 4103, 0}};
+  // Expected rankings, per range and user.
+  std::vector<std::vector<std::vector<ScoredItem>>> expected;
+  for (const Range& range : ranges) {
+    const int64_t end = range.end == 0 ? kSweepItems : range.end;
+    const int64_t capped =
+        range.max_items > 0 ? std::min(end, range.begin + range.max_items)
+                            : end;
+    expected.emplace_back();
+    for (int64_t u = 0; u < kUsers; ++u) {
+      expected.back().push_back(
+          BruteTopK(t, u, kTop, range.begin, capped,
+                    u % 2 == 1 ? exclude : std::vector<int64_t>{}));
+    }
+  }
+  for (int64_t ips : {1, 7, 16, 100, 4096}) {
+    const std::string path =
+        WriteFull("panel_sweep" + std::to_string(ips) + ".ims3", t, ips);
+    auto loaded = EmbeddingSnapshot::Load(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    const EmbeddingSnapshot& snapshot = *loaded.value();
+    ASSERT_EQ(snapshot.num_shards(), (kSweepItems + ips - 1) / ips);
+    for (int64_t block : {1, 5, 16, 1024}) {
+      Recommender recommender(RecommenderOptions{block, {}});
+      for (size_t r = 0; r < std::size(ranges); ++r) {
+        SCOPED_TRACE("items_per_shard=" + std::to_string(ips) +
+                     " block_items=" + std::to_string(block) + " range " +
+                     std::to_string(r));
+        std::vector<Recommender::BatchQuery> queries;
+        for (int64_t u = 0; u < kUsers; ++u) {
+          queries.push_back({u, kTop, 0.0, u % 2 == 1 ? &exclude : nullptr});
+        }
+        std::vector<Recommender::BatchQueryResult> results;
+        ASSERT_TRUE(recommender
+                        .TopKBatch(snapshot, queries, ranges[r].begin,
+                                   ranges[r].end, ranges[r].max_items,
+                                   &results)
+                        .ok());
+        for (int64_t u = 0; u < kUsers; ++u) {
+          ASSERT_TRUE(results[static_cast<size_t>(u)].status.ok());
+          ExpectSameRanking(results[static_cast<size_t>(u)].items,
+                            expected[r][static_cast<size_t>(u)]);
+        }
+      }
+    }
+    std::remove(path.c_str());
   }
 }
 

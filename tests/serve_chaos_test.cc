@@ -25,7 +25,7 @@
 #include "data/dataset.h"
 #include "obs/metrics.h"
 #include "serve/rec_service.h"
-#include "tensor/checkpoint.h"
+#include "serve/shard_format.h"
 #include "tensor/tensor.h"
 #include "tests/temp_path.h"
 #include "util/fault_injector.h"
@@ -58,10 +58,8 @@ Tensor MakeTable(int64_t rows, int64_t cols, float scale) {
 }
 
 void WriteGoodSnapshot(const std::string& path) {
-  std::vector<Tensor> tensors;
-  tensors.push_back(MakeTable(kNumUsers, kDim, 0.125f));
-  tensors.push_back(MakeTable(kNumItems, kDim, -0.25f));
-  Status status = SaveCheckpoint(path, tensors);
+  Status status = WriteShardedSnapshot(path, MakeTable(kNumUsers, kDim, 0.125f),
+                                       MakeTable(kNumItems, kDim, -0.25f));
   ASSERT_TRUE(status.ok()) << status.ToString();
 }
 

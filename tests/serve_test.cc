@@ -25,6 +25,7 @@
 #include "serve/popularity.h"
 #include "serve/rec_service.h"
 #include "serve/recommender.h"
+#include "serve/shard_format.h"
 #include "serve/snapshot.h"
 #include "tensor/checkpoint.h"
 #include "tensor/tensor.h"
@@ -62,10 +63,8 @@ Tensor MakeTable(int64_t rows, int64_t cols, float scale) {
 std::string WriteSnapshot(const char* name, int64_t num_users,
                           int64_t num_items, int64_t dim) {
   const std::string path = TestTempPath(name);
-  std::vector<Tensor> tensors;
-  tensors.push_back(MakeTable(num_users, dim, 0.25f));
-  tensors.push_back(MakeTable(num_items, dim, -0.5f));
-  Status status = SaveCheckpoint(path, tensors);
+  Status status = WriteShardedSnapshot(path, MakeTable(num_users, dim, 0.25f),
+                                       MakeTable(num_items, dim, -0.5f));
   EXPECT_TRUE(status.ok()) << status.ToString();
   return path;
 }
@@ -108,32 +107,39 @@ TEST_F(ServeTest, SnapshotMissingFileFails) {
 }
 
 TEST_F(ServeTest, SnapshotRejectsWrongTensorCount) {
-  const std::string path = TestTempPath("snap_three_tensors.ckpt");
-  std::vector<Tensor> tensors = {MakeTable(4, 3, 1.0f), MakeTable(6, 3, 1.0f),
-                                 MakeTable(2, 3, 1.0f)};
-  ASSERT_TRUE(SaveCheckpoint(path, tensors).ok());
-  auto loaded = EmbeddingSnapshot::Load(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(loaded.status().message().find("exactly 2 tensors"),
-            std::string::npos);
-  std::remove(path.c_str());
+  // A monolithic v1/v2 checkpoint, whatever its tensors, is not a serving
+  // snapshot: refused by name, never parsed as one.
+  for (int64_t count : {2, 3}) {
+    const std::string path = TestTempPath("snap_monolithic.ckpt");
+    std::vector<Tensor> tensors = {MakeTable(4, 3, 1.0f),
+                                   MakeTable(6, 3, 1.0f),
+                                   MakeTable(2, 3, 1.0f)};
+    tensors.resize(static_cast<size_t>(count));
+    ASSERT_TRUE(SaveCheckpoint(path, tensors).ok());
+    auto loaded = EmbeddingSnapshot::Load(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find("monolithic IMCAT checkpoint"),
+              std::string::npos)
+        << loaded.status().ToString();
+    std::remove(path.c_str());
+  }
 }
 
 TEST_F(ServeTest, SnapshotRejectsMismatchedEmbeddingDims) {
-  const std::string path = TestTempPath("snap_dim_mismatch.ckpt");
-  std::vector<Tensor> tensors = {MakeTable(4, 3, 1.0f), MakeTable(6, 2, 1.0f)};
-  ASSERT_TRUE(SaveCheckpoint(path, tensors).ok());
+  const std::string path = TestTempPath("snap_dim_mismatch.ims3");
+  Status written = WriteShardedSnapshot(path, MakeTable(4, 3, 1.0f),
+                                        MakeTable(6, 2, 1.0f));
+  EXPECT_EQ(written.code(), StatusCode::kInvalidArgument);
   auto loaded = EmbeddingSnapshot::Load(path);
   ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
 }
 
 TEST_F(ServeTest, SnapshotRejectsOnDiskCorruption) {
   const std::string path = WriteSnapshot("snap_corrupt.ckpt", 4, 6, 3);
   {
-    // Flip one bit of tensor payload on disk; the checksum must catch it.
+    // Flip one bit of the manifest on disk; its checksum must catch it.
     std::fstream file(path,
                       std::ios::binary | std::ios::in | std::ios::out);
     ASSERT_TRUE(file.good());

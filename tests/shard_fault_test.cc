@@ -1,7 +1,7 @@
 // Fault suite for the sharded serving-snapshot format (v3) and the
 // partial-degraded serving path built on it:
 //
-//  - format round trip, manifest geometry, v2 compatibility;
+//  - format round trip, manifest geometry, refusal of v2 checkpoints;
 //  - per-shard corruption sweep: an on-disk bit flip in shard payload s
 //    quarantines exactly shard s — every other item range still serves the
 //    bit-identical scores of a clean load;
@@ -164,21 +164,19 @@ TEST_F(ShardFaultTest, ManifestRecordsContiguousShardGeometry) {
   std::remove(path.c_str());
 }
 
-TEST_F(ShardFaultTest, MonolithicCheckpointLoadsAsSingleHealthyShard) {
+TEST_F(ShardFaultTest, MonolithicCheckpointIsRefusedWithInvalidArgument) {
+  // The monolithic v2 checkpoint is no longer a serving format: it is
+  // refused by name, never loaded as a one-shard snapshot.
   const std::string path = TestTempPath("sf_monolithic.ckpt");
   std::vector<Tensor> tensors = {UserTable(), ItemTable()};
   ASSERT_TRUE(SaveCheckpoint(path, tensors).ok());
   EXPECT_FALSE(IsShardedSnapshotFile(path));
   auto loaded = EmbeddingSnapshot::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const EmbeddingSnapshot& snapshot = *loaded.value();
-  EXPECT_EQ(snapshot.num_shards(), 1);
-  EXPECT_EQ(snapshot.items_per_shard(), kItems);
-  EXPECT_EQ(snapshot.quarantined_count(), 0);
-  EXPECT_EQ(snapshot.parent_version(), 0);
-  for (int64_t i = 0; i < kItems; ++i) {
-    EXPECT_TRUE(snapshot.item_available(i));
-  }
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("monolithic IMCAT checkpoint"),
+            std::string::npos)
+      << loaded.status().ToString();
   std::remove(path.c_str());
 }
 

@@ -1,16 +1,17 @@
 // Cross-version snapshot load-compatibility matrix:
 //
-//  - v2 monolithic checkpoints load as a single healthy shard;
+//  - v2 monolithic checkpoints are refused with kInvalidArgument;
 //  - v3 sharded snapshots round-trip with their manifest version;
 //  - v3 + delta chains apply in order across multiple versions, and a
 //    skipped link in the chain is refused (kFailedPrecondition);
-//  - a delta can chain onto a freshly loaded v2 monolithic base (version
+//  - a delta can chain onto a freshly loaded unversioned base (version
 //    0), but geometry mismatches (dim, items_per_shard, shrinking tables)
 //    are refused;
 //  - byte-crafted v3 and delta files written to the *published layout
 //    spec* (shard_format.h), not through the writer, load bit-exactly —
 //    pinning the on-disk layout against accidental drift between
-//    releases. A tampered magic or format version fails cleanly.
+//    releases. A tampered magic or format version fails cleanly, and a
+//    format-version-1 delta is refused naming its version.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -71,26 +72,20 @@ struct ByteWriter {
 };
 
 // ---------------------------------------------------------------------------
-// v2 monolithic
+// v2 monolithic: refused
 
-TEST(SnapshotCompatTest, V2MonolithicCheckpointLoads) {
+TEST(SnapshotCompatTest, V2MonolithicCheckpointIsRefused) {
   const std::string path = TestTempPath("compat_v2.ckpt");
   std::vector<Tensor> tensors = {UserTable(), ItemTable()};
   ASSERT_TRUE(SaveCheckpoint(path, tensors).ok());
   EXPECT_FALSE(IsShardedSnapshotFile(path));
   EXPECT_FALSE(IsDeltaSnapshotFile(path));
   auto loaded = EmbeddingSnapshot::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value()->num_shards(), 1);
-  EXPECT_EQ(loaded.value()->quarantined_count(), 0);
-  EXPECT_EQ(loaded.value()->parent_version(), 0);
-  const Tensor users = UserTable();
-  const Tensor items = ItemTable();
-  float expected = 0.0f;
-  for (int64_t d = 0; d < kDim; ++d) {
-    expected += users.data()[3 * kDim + d] * items.data()[7 * kDim + d];
-  }
-  EXPECT_EQ(loaded.value()->Score(3, 7), expected);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("monolithic IMCAT checkpoint"),
+            std::string::npos)
+      << loaded.status().ToString();
   std::remove(path.c_str());
 }
 
@@ -159,14 +154,15 @@ TEST(SnapshotCompatTest, DeltaChainAppliesInOrderAndRefusesSkippedLinks) {
   for (const auto& p : {base_path, delta12, delta23}) std::remove(p.c_str());
 }
 
-TEST(SnapshotCompatTest, DeltaChainsOntoMonolithicBaseButNotBadGeometry) {
-  const std::string base_path = TestTempPath("compat_mono_base.ckpt");
-  std::vector<Tensor> tensors = {UserTable(), ItemTable()};
-  ASSERT_TRUE(SaveCheckpoint(base_path, tensors).ok());
+TEST(SnapshotCompatTest, DeltaChainsOntoUnversionedBaseButNotBadGeometry) {
+  const std::string base_path = TestTempPath("compat_mono_base.snap");
+  ASSERT_TRUE(
+      WriteShardedSnapshot(base_path, UserTable(), ItemTable(), {kItems, 0})
+          .ok());
   auto base = EmbeddingSnapshot::Load(base_path);
   ASSERT_TRUE(base.ok());
-  // A v2 monolithic base loads as one shard of items_per_shard == kItems
-  // at version 0; a delta built to exactly that geometry chains on.
+  // An unversioned base of one shard (items_per_shard == kItems) loads at
+  // version 0; a delta built to exactly that geometry chains on.
   Tensor items_next = ItemTable();
   for (int64_t d = 0; d < kDim; ++d) items_next.data()[5 * kDim + d] = 3.0f;
   const std::string delta = TestTempPath("compat_mono.delta");
@@ -295,18 +291,10 @@ TEST(SnapshotCompatTest, ByteCraftedV3FileLoadsBitExactly) {
   std::remove(path.c_str());
 }
 
-TEST(SnapshotCompatTest, ByteCraftedDeltaFileAppliesBitExactly) {
-  const std::string base_path = TestTempPath("compat_craft_base.snap");
-  CraftV3File().WriteTo(base_path);
-  auto base = EmbeddingSnapshot::Load(base_path);
-  ASSERT_TRUE(base.ok());
-  base.value()->set_version(base.value()->parent_version());
-
-  // Delta to the published spec: chains 9 -> 10, replaces shard 0's rows
-  // and the user table.
-  const std::vector<float> users = {4.0f, 4.5f, 5.0f, 5.5f};
-  const std::vector<float> items = {9.0f, 8.0f, 7.0f, 6.0f,
-                                    5.0f, 4.0f, 3.0f, 2.0f};
+/// Assembles a delta to the published format-version-1 layout (whole user
+/// table, then shard 0), chaining kCraftVersion -> kCraftVersion + 1.
+ByteWriter CraftV1Delta(const std::vector<float>& users,
+                        const std::vector<float>& items) {
   const int64_t user_bytes = static_cast<int64_t>(users.size() * 4);
   const int64_t item_bytes = static_cast<int64_t>(items.size() * 4);
   // manifest = header (64) + user entry (24) + 1 delta shard entry (48)
@@ -334,6 +322,54 @@ TEST(SnapshotCompatTest, ByteCraftedDeltaFileAppliesBitExactly) {
   w.Value(Fnv1aHash(w.bytes.data(), w.bytes.size()));
   w.Raw(users.data(), static_cast<size_t>(user_bytes));
   w.Raw(items.data(), static_cast<size_t>(item_bytes));
+  return w;
+}
+
+TEST(SnapshotCompatTest, ByteCraftedDeltaFileAppliesBitExactly) {
+  const std::string base_path = TestTempPath("compat_craft_base.snap");
+  CraftV3File().WriteTo(base_path);
+  auto base = EmbeddingSnapshot::Load(base_path);
+  ASSERT_TRUE(base.ok());
+  base.value()->set_version(base.value()->parent_version());
+
+  // Delta to the published version-2 spec: chains 9 -> 10, replaces
+  // shard 0's rows and ships one user row (user 1) of the two.
+  const int64_t shipped_user = 1;
+  const std::vector<float> user_row = {5.0f, 5.5f};
+  const std::vector<float> items = {9.0f, 8.0f, 7.0f, 6.0f,
+                                    5.0f, 4.0f, 3.0f, 2.0f};
+  const int64_t user_bytes =
+      static_cast<int64_t>(sizeof(int64_t) + user_row.size() * 4);
+  const int64_t item_bytes = static_cast<int64_t>(items.size() * 4);
+  ByteWriter section;
+  section.Value(shipped_user);
+  section.Raw(user_row.data(), user_row.size() * 4);
+  // manifest = header (72) + user-row entry (24) + 1 delta shard entry
+  // (48) + checksum (8).
+  const int64_t payload_start = 72 + 24 + 48 + 8;
+  ByteWriter w;
+  w.Raw("IMD3", 4);
+  w.Value(uint32_t{2});                // delta format version.
+  w.Value(int64_t{kCraftVersion});     // base_version.
+  w.Value(int64_t{kCraftVersion + 1});  // version.
+  w.Value(int64_t{kCraftUsers});
+  w.Value(int64_t{kCraftItems});
+  w.Value(int64_t{kCraftDim});
+  w.Value(int64_t{kCraftItems});      // items_per_shard (matches base).
+  w.Value(int64_t{1});                // num_changed_users.
+  w.Value(int64_t{1});                // num_changed_shards.
+  w.Value(payload_start);             // user-row section offset.
+  w.Value(user_bytes);
+  w.Value(Fnv1aHash(section.bytes.data(), section.bytes.size()));
+  w.Value(int64_t{0});                // shard_index.
+  w.Value(int64_t{0});                // begin.
+  w.Value(int64_t{kCraftItems});      // end.
+  w.Value(payload_start + user_bytes);
+  w.Value(item_bytes);
+  w.Value(Fnv1aHash(items.data(), static_cast<size_t>(item_bytes)));
+  w.Value(Fnv1aHash(w.bytes.data(), w.bytes.size()));
+  w.Raw(section.bytes.data(), section.bytes.size());
+  w.Raw(items.data(), static_cast<size_t>(item_bytes));
   const std::string delta_path = TestTempPath("compat_craft.delta");
   w.WriteTo(delta_path);
 
@@ -342,17 +378,17 @@ TEST(SnapshotCompatTest, ByteCraftedDeltaFileAppliesBitExactly) {
   ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
   EXPECT_EQ(manifest.value().base_version, kCraftVersion);
   EXPECT_EQ(manifest.value().version, kCraftVersion + 1);
+  EXPECT_EQ(manifest.value().num_changed_users(), 1);
 
   auto applied = EmbeddingSnapshot::ApplyDelta(base.value(), delta_path);
   ASSERT_TRUE(applied.ok()) << applied.status().ToString();
   const EmbeddingSnapshot& next = *applied.value();
   EXPECT_EQ(next.version(), kCraftVersion + 1);
   EXPECT_EQ(next.base_version(), kCraftVersion);
-  for (int64_t u = 0; u < kCraftUsers; ++u) {
-    for (int64_t d = 0; d < kCraftDim; ++d) {
-      EXPECT_EQ(next.user(u)[d],
-                users[static_cast<size_t>(u * kCraftDim + d)]);
-    }
+  const std::vector<float> base_users = CraftUserPayload();
+  for (int64_t d = 0; d < kCraftDim; ++d) {
+    EXPECT_EQ(next.user(0)[d], base_users[static_cast<size_t>(d)]);
+    EXPECT_EQ(next.user(shipped_user)[d], user_row[static_cast<size_t>(d)]);
   }
   for (int64_t i = 0; i < kCraftItems; ++i) {
     for (int64_t d = 0; d < kCraftDim; ++d) {
@@ -364,9 +400,29 @@ TEST(SnapshotCompatTest, ByteCraftedDeltaFileAppliesBitExactly) {
   std::remove(delta_path.c_str());
 }
 
+TEST(SnapshotCompatTest, ByteCraftedVersion1DeltaIsRefusedNamingTheVersion) {
+  const std::string base_path = TestTempPath("compat_craft_v1_base.snap");
+  CraftV3File().WriteTo(base_path);
+  auto base = EmbeddingSnapshot::Load(base_path);
+  ASSERT_TRUE(base.ok());
+  base.value()->set_version(base.value()->parent_version());
+  const std::string delta_path = TestTempPath("compat_craft_v1.delta");
+  CraftV1Delta({4.0f, 4.5f, 5.0f, 5.5f}, CraftItemPayload())
+      .WriteTo(delta_path);
+  EXPECT_TRUE(IsDeltaSnapshotFile(delta_path));
+  for (const Status& status :
+       {ReadDeltaSnapshotManifest(delta_path).status(),
+        EmbeddingSnapshot::ApplyDelta(base.value(), delta_path).status()}) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("format version 1"), std::string::npos)
+        << status.ToString();
+  }
+  std::remove(base_path.c_str());
+  std::remove(delta_path.c_str());
+}
+
 TEST(SnapshotCompatTest, TamperedMagicOrFormatVersionFailsCleanly) {
-  // Wrong magic: not recognised as a sharded snapshot, and the monolithic
-  // loader then rejects it too.
+  // Wrong magic: not recognised as a sharded snapshot, and refused.
   const std::string magic_path = TestTempPath("compat_magic.snap");
   ByteWriter bad_magic = CraftV3File();
   bad_magic.bytes[0] = 'X';
@@ -374,7 +430,7 @@ TEST(SnapshotCompatTest, TamperedMagicOrFormatVersionFailsCleanly) {
   EXPECT_FALSE(IsShardedSnapshotFile(magic_path));
   EXPECT_FALSE(IsDeltaSnapshotFile(magic_path));
   auto loaded = EmbeddingSnapshot::Load(magic_path);
-  EXPECT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 
   // Wrong format version: recognised, refused before any payload is read.
   const std::string version_path = TestTempPath("compat_version.snap");

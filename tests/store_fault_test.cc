@@ -24,6 +24,7 @@
 //    / `store_quarantine` journal events throughout.
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -375,6 +376,39 @@ TEST_F(StoreFaultTest, RecoveryQuarantinesTornAndOrphanedArtifacts) {
   ASSERT_TRUE(lineage.ok());
   EXPECT_EQ(lineage.value().version, 1);
   EXPECT_TRUE(lineage.value().delta_paths.empty());
+}
+
+TEST_F(StoreFaultTest, RecoveryQuarantinesVersionOneDeltaNamingItsVersion) {
+  const std::string dir = FreshDir("sf_recover_v1delta");
+  fs::create_directories(dir);
+  ASSERT_TRUE(WriteFullFile(dir + "/" + FullFileName(1), 1).ok());
+  // A delta left behind by a build that wrote delta format version 1: the
+  // u32 after the magic says 1, and nothing of it may enter a chain.
+  const std::string v1 = dir + "/" + DeltaFileName(1, 2);
+  ASSERT_TRUE(WriteDeltaFile(v1, 1, 2, {0}).ok());
+  std::string bytes = ReadFileBytes(v1);
+  const uint32_t old_version = 1;
+  std::memcpy(bytes.data() + 4, &old_version, sizeof(old_version));
+  WriteFileBytes(v1, bytes);
+  // Chained on top of it: orphaned once the v1 link is refused.
+  ASSERT_TRUE(WriteDeltaFile(dir + "/" + DeltaFileName(2, 3), 2, 3, {1}).ok());
+
+  const std::string journal_path = TestTempPath("sf_recover_v1delta.journal");
+  RunJournal journal(journal_path);
+  SnapshotStoreOptions options;
+  options.journal = &journal;
+  auto store = MustOpen(dir, options);
+  EXPECT_EQ(store->recovery_report().quarantined, 2);
+  EXPECT_TRUE(fs::exists(v1 + ".corrupt"));
+  EXPECT_TRUE(fs::exists(dir + "/" + DeltaFileName(2, 3) + ".corrupt"));
+  auto lineage = store->NewestLineage();
+  ASSERT_TRUE(lineage.ok());
+  EXPECT_EQ(lineage.value().version, 1);
+  EXPECT_TRUE(lineage.value().delta_paths.empty());
+  ASSERT_TRUE(journal.Flush().ok());
+  EXPECT_NE(ReadFileBytes(journal_path).find("format version 1"),
+            std::string::npos);
+  std::remove(journal_path.c_str());
 }
 
 TEST_F(StoreFaultTest, RecoveryRebuildsCorruptStoreManifest) {
