@@ -18,7 +18,7 @@
 /// Every binary honours these environment overrides (single-core friendly
 /// defaults are chosen so that the full bench suite completes in minutes):
 ///   IMCAT_BENCH_SCALE   multiplier on the per-dataset default scales.
-///   IMCAT_BENCH_EPOCHS  max training epochs (default 120).
+///   IMCAT_BENCH_EPOCHS  max training epochs (default 150).
 ///   IMCAT_BENCH_SEEDS   repeated runs per cell (default 1; paper uses 5).
 ///   IMCAT_BENCH_DIM     embedding size (default 32; paper uses 64).
 
@@ -27,7 +27,7 @@ namespace imcat::bench {
 /// Environment-configurable run parameters.
 struct BenchEnv {
   double scale_multiplier = 1.0;
-  int64_t max_epochs = 120;
+  int64_t max_epochs = 150;
   int num_seeds = 1;
   int64_t embedding_dim = 16;
 

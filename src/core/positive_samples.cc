@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "util/check.h"
 
@@ -135,6 +134,11 @@ void PositiveSampleIndex::BuildSimilarSets(float threshold,
   IMCAT_CHECK(threshold > 0.0f && threshold <= 1.0f);
   similar_sets_.assign(num_items_ * num_intents_, {});
 
+  // Tag-intersection counts for the current item: a dense counter per item
+  // plus the list of ids it touched, which are reset before the next item.
+  std::vector<int32_t> intersection(num_items_, 0);
+  std::vector<int64_t> touched;
+  std::vector<std::pair<float, int64_t>> passing;
   for (int k = 0; k < num_intents_; ++k) {
     // Inverted index: cluster-k tag -> items carrying it.
     std::vector<std::vector<int64_t>> items_of_tag(num_tags_);
@@ -143,20 +147,23 @@ void PositiveSampleIndex::BuildSimilarSets(float threshold,
         items_of_tag[t].push_back(item);
       }
     }
-    std::unordered_map<int64_t, int64_t> intersection;
     for (int64_t item = 0; item < num_items_; ++item) {
       const auto& own_tags = tags_by_item_cluster_[IndexOf(item, k)];
       if (own_tags.empty()) continue;
-      intersection.clear();
       for (int64_t t : own_tags) {
         for (int64_t other : items_of_tag[t]) {
-          if (other != item) ++intersection[other];
+          if (other != item && intersection[other]++ == 0) {
+            touched.push_back(other);
+          }
         }
       }
-      // Score candidates by Jaccard and keep the best above threshold.
-      std::vector<std::pair<float, int64_t>> passing;
+      // Score candidates by Jaccard and keep the best above threshold. The
+      // sort below is a total order, so the touched order does not matter.
+      passing.clear();
       const int64_t own_size = static_cast<int64_t>(own_tags.size());
-      for (const auto& [other, inter] : intersection) {
+      for (int64_t other : touched) {
+        const int64_t inter = intersection[other];
+        intersection[other] = 0;
         const int64_t other_size = static_cast<int64_t>(
             tags_by_item_cluster_[IndexOf(other, k)].size());
         const float jaccard =
@@ -164,6 +171,7 @@ void PositiveSampleIndex::BuildSimilarSets(float threshold,
             static_cast<float>(own_size + other_size - inter);
         if (jaccard > threshold) passing.emplace_back(jaccard, other);
       }
+      touched.clear();
       std::sort(passing.begin(), passing.end(),
                 [](const auto& a, const auto& b) {
                   if (a.first != b.first) return a.first > b.first;

@@ -60,22 +60,20 @@ Dataset GenerateSynthetic(const SyntheticConfig& config,
 
   const std::vector<double> popularity =
       PowerLawWeights(config.num_items, config.item_popularity_exponent, &rng);
-  const std::vector<double> activity =
-      PowerLawWeights(config.num_users, config.user_activity_exponent, &rng);
+  const CategoricalTable activity(
+      PowerLawWeights(config.num_users, config.user_activity_exponent, &rng));
 
   // Per-intent item sampling weights: popularity_i * item_mix_i[z].
-  std::vector<std::vector<double>> item_weight_by_intent(z_count);
+  std::vector<CategoricalTable> item_weight_by_intent;
+  item_weight_by_intent.reserve(z_count);
   for (int z = 0; z < z_count; ++z) {
-    auto& w = item_weight_by_intent[z];
-    w.resize(config.num_items);
+    std::vector<double> w(config.num_items);
     for (int64_t i = 0; i < config.num_items; ++i) {
       w[i] = popularity[i] * item_mix[i][z];
     }
+    item_weight_by_intent.emplace_back(std::move(w));
   }
-  std::vector<double> item_weight_flat(config.num_items);
-  for (int64_t i = 0; i < config.num_items; ++i) {
-    item_weight_flat[i] = popularity[i];
-  }
+  const CategoricalTable item_weight_flat(popularity);
 
   Dataset ds;
   ds.name = config.name;
@@ -120,7 +118,7 @@ Dataset GenerateSynthetic(const SyntheticConfig& config,
     while (static_cast<int64_t>(ds.item_tags.size()) < config.num_item_tags &&
            attempts < max_attempts) {
       ++attempts;
-      const int64_t item = rng.Categorical(item_weight_flat);
+      const int64_t item = item_weight_flat.Sample(&rng);
       add_tag(item, sample_tag_for_item(item));
     }
   }
@@ -138,10 +136,10 @@ Dataset GenerateSynthetic(const SyntheticConfig& config,
     };
     auto sample_item_for_user = [&](int64_t user) {
       if (rng.Uniform() < config.interaction_noise) {
-        return rng.Categorical(item_weight_flat);
+        return item_weight_flat.Sample(&rng);
       }
       const int z = static_cast<int>(rng.Categorical(user_mix[user]));
-      return rng.Categorical(item_weight_by_intent[z]);
+      return item_weight_by_intent[z].Sample(&rng);
     };
     // Guarantee the per-user minimum.
     for (int64_t u = 0; u < config.num_users; ++u) {
@@ -160,7 +158,7 @@ Dataset GenerateSynthetic(const SyntheticConfig& config,
                config.num_interactions &&
            attempts < max_attempts) {
       ++attempts;
-      const int64_t user = rng.Categorical(activity);
+      const int64_t user = activity.Sample(&rng);
       add_edge(user, sample_item_for_user(user));
     }
   }

@@ -1,6 +1,8 @@
 #include "util/rng.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/check.h"
 
@@ -16,6 +18,28 @@ uint64_t SplitMix64(uint64_t* state) {
 }
 
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
+/// Sums non-negative weights in index order; the sum must be positive.
+double CheckedTotal(const std::vector<double>& weights) {
+  double total = 0.0;
+  for (double w : weights) {
+    IMCAT_CHECK_GE(w, 0.0);
+    total += w;
+  }
+  IMCAT_CHECK_GT(total, 0.0);
+  return total;
+}
+
+/// The categorical draw's definition: subtracts weights in index order from
+/// `x` in [0, total) and returns the first index that takes it below zero,
+/// or the last index when rounding leaves a remainder.
+int64_t SubtractScan(const std::vector<double>& weights, double x) {
+  for (size_t i = 0; i < weights.size(); ++i) {
+    x -= weights[i];
+    if (x < 0.0) return static_cast<int64_t>(i);
+  }
+  return static_cast<int64_t>(weights.size()) - 1;
+}
 
 }  // namespace
 
@@ -87,18 +111,8 @@ double Rng::Normal(double mean, double stddev) {
 }
 
 int64_t Rng::Categorical(const std::vector<double>& weights) {
-  double total = 0.0;
-  for (double w : weights) {
-    IMCAT_CHECK_GE(w, 0.0);
-    total += w;
-  }
-  IMCAT_CHECK_GT(total, 0.0);
-  double x = Uniform() * total;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    x -= weights[i];
-    if (x < 0.0) return static_cast<int64_t>(i);
-  }
-  return static_cast<int64_t>(weights.size()) - 1;
+  const double total = CheckedTotal(weights);
+  return SubtractScan(weights, Uniform() * total);
 }
 
 double Rng::Gamma(double shape) {
@@ -138,6 +152,38 @@ void Rng::Dirichlet(double alpha, int dim, std::vector<double>* out) {
     return;
   }
   for (int i = 0; i < dim; ++i) (*out)[i] /= total;
+}
+
+CategoricalTable::CategoricalTable(std::vector<double> weights)
+    : weights_(std::move(weights)) {
+  CheckedTotal(weights_);
+  prefix_.resize(weights_.size());
+  double sum = 0.0;
+  for (size_t i = 0; i < weights_.size(); ++i) {
+    sum += weights_[i];
+    prefix_[i] = sum;
+  }
+  // Let u = 2^-53 and n = size(). Every partial sum lies in [0, total], so
+  // prefix_[i] is within n*u*total of the exact S_{i+1} = w[0] + ... + w[i].
+  // The scan's remainders stay in [-total, total], so each is within
+  // n*u*total of the exact x - S_{i+1}. A draw more than 2n*u*total inside
+  // both ends of its bucket [prefix_[k-1], prefix_[k]) thus gets the same
+  // sign from every remainder test the scan makes, and the scan returns k.
+  // The margin is twice that plus slack, which also covers the rounding of
+  // the guard comparisons themselves (at most u*total each).
+  const double n = static_cast<double>(weights_.size());
+  margin_ = 4.0 * (n + 2.0) * 0x1.0p-53 * prefix_.back();
+}
+
+int64_t CategoricalTable::Sample(Rng* rng) const {
+  const double x = rng->Uniform() * prefix_.back();
+  const int64_t k =
+      std::upper_bound(prefix_.begin(), prefix_.end(), x) - prefix_.begin();
+  if (k < size() && x < prefix_[k] - margin_ &&
+      (k == 0 || x >= prefix_[k - 1] + margin_)) {
+    return k;
+  }
+  return SubtractScan(weights_, x);
 }
 
 }  // namespace imcat

@@ -55,7 +55,8 @@ class Rng {
   double Normal(double mean, double stddev);
 
   /// Samples an index in [0, weights.size()) with probability proportional
-  /// to `weights`. Requires at least one strictly positive weight.
+  /// to `weights`. Requires at least one strictly positive weight. O(n) per
+  /// draw; a vector drawn from many times belongs in a CategoricalTable.
   int64_t Categorical(const std::vector<double>& weights);
 
   /// Samples from a symmetric Dirichlet(alpha) of dimension `dim` into
@@ -78,6 +79,29 @@ class Rng {
   uint64_t s_[4];
   bool have_cached_normal_ = false;
   double cached_normal_ = 0.0;
+};
+
+/// A fixed categorical distribution indexed once for O(log n) draws.
+/// Sample(rng) returns exactly what rng->Categorical(weights) would and
+/// consumes the same single Uniform(), so swapping one for the other keeps
+/// every downstream stream bit-identical. It binary-searches the inclusive
+/// prefix sums and falls back to Categorical's subtract-scan when the draw
+/// lies within the rounding error of a prefix boundary.
+class CategoricalTable {
+ public:
+  /// Requires non-negative weights with a strictly positive total.
+  explicit CategoricalTable(std::vector<double> weights);
+
+  /// Draws an index in [0, size()) with probability proportional to its
+  /// weight.
+  int64_t Sample(Rng* rng) const;
+
+  int64_t size() const { return static_cast<int64_t>(weights_.size()); }
+
+ private:
+  std::vector<double> weights_;
+  std::vector<double> prefix_;  ///< prefix_[i] = w[0] + ... + w[i], in order.
+  double margin_ = 0.0;         ///< Rounding guard around each boundary.
 };
 
 }  // namespace imcat

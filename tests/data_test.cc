@@ -471,5 +471,51 @@ TEST(PresetTest, GeneratePresetProducesValidDataset) {
   EXPECT_EQ(DeduplicateEdges(ds.num_users, ds.num_items, &edges), 0);
 }
 
+/// FNV-1a-style hash over whole int64 words: the counts, then every
+/// (user, item) and (item, tag) pair in order.
+uint64_t DatasetHash(const Dataset& ds) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](int64_t v) {
+    h ^= static_cast<uint64_t>(v);
+    h *= 0x100000001b3ULL;
+  };
+  mix(ds.num_users);
+  mix(ds.num_items);
+  mix(ds.num_tags);
+  for (const auto& [user, item] : ds.interactions) {
+    mix(user);
+    mix(item);
+  }
+  for (const auto& [item, tag] : ds.item_tags) {
+    mix(item);
+    mix(tag);
+  }
+  return h;
+}
+
+TEST(PresetTest, GeneratorOutputIsPinned) {
+  // Every experiment reads these bytes. The hashes were taken from the
+  // subtract-scan generator, before the prefix-sum sampler; a change to the
+  // sampler or the generator must leave them unchanged.
+  const struct {
+    const char* name;
+    double scale;
+    uint64_t hash;
+  } golden[] = {
+      {"HetRec-MV", 0.1, 0xd221602c709b7843ULL},
+      {"HetRec-FM", 0.1, 0x08e553cad19f53b6ULL},
+      {"HetRec-Del", 0.1, 0xe37d0609cb334e85ULL},
+      {"CiteULike", 0.1, 0x6fbbe82016addc7dULL},
+      {"Last.fm-Tag", 0.1, 0x120bd5b9edcc8601ULL},
+      {"AMZBook-Tag", 0.1, 0x2c275db69c1ff142ULL},
+      {"Yelp-Tag", 0.1, 0x9209895b1b0bfe08ULL},
+      {"CiteULike", 0.5, 0xe7d6a08ea63c8cbfULL},
+  };
+  for (const auto& g : golden) {
+    EXPECT_EQ(DatasetHash(GeneratePreset(g.name, g.scale, /*seed=*/1)), g.hash)
+        << g.name << " x" << g.scale;
+  }
+}
+
 }  // namespace
 }  // namespace imcat

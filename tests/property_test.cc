@@ -163,6 +163,64 @@ TEST_P(RandomInstanceTest, SimilarSetsAreSymmetricallyConsistent) {
   }
 }
 
+/// S_j^k by brute force over every item pair, from Eq. 15's definition:
+/// items sharing a cluster-k tag whose Jaccard index is strictly above
+/// `threshold`, closest first (ties by id), cut at `max_per_item`.
+std::vector<int64_t> ReferenceSimilarSet(const PositiveSampleIndex& index,
+                                         int64_t item, int k, float threshold,
+                                         int64_t max_per_item) {
+  const auto& own = index.TagsOfItemInCluster(item, k);
+  std::vector<std::pair<float, int64_t>> passing;
+  for (int64_t other = 0; other < index.num_items(); ++other) {
+    if (other == item || own.empty()) continue;
+    const auto& theirs = index.TagsOfItemInCluster(other, k);
+    std::vector<int64_t> shared;
+    std::set_intersection(own.begin(), own.end(), theirs.begin(),
+                          theirs.end(), std::back_inserter(shared));
+    const int64_t inter = static_cast<int64_t>(shared.size());
+    if (inter == 0) continue;
+    const float jaccard =
+        static_cast<float>(inter) /
+        static_cast<float>(static_cast<int64_t>(own.size()) +
+                           static_cast<int64_t>(theirs.size()) - inter);
+    if (jaccard > threshold) passing.emplace_back(jaccard, other);
+  }
+  std::sort(passing.begin(), passing.end(), [](const auto& a, const auto& b) {
+    if (a.first != b.first) return a.first > b.first;
+    return a.second < b.second;
+  });
+  std::vector<int64_t> set;
+  for (const auto& [jaccard, other] : passing) {
+    if (static_cast<int64_t>(set.size()) == max_per_item) break;
+    set.push_back(other);
+  }
+  return set;
+}
+
+TEST_P(RandomInstanceTest, SimilarSetsMatchBruteForceJaccard) {
+  // 0.5 is hit exactly by many pairs (1 of 2 tags, 2 of 4), so it checks
+  // the strict threshold; a cap of 2 checks the closest-first cut.
+  Dataset ds = GenerateSynthetic(RandomConfig(GetParam()));
+  DataSplit split = SplitByUser(ds, SplitOptions{.seed = GetParam()});
+  const int num_intents = 3;
+  PositiveSampleIndex index(ds, split.train, num_intents);
+  std::vector<int> assignment(ds.num_tags);
+  Rng rng(GetParam() + 2);
+  for (auto& a : assignment) a = static_cast<int>(rng.UniformInt(num_intents));
+  index.SetAssignments(assignment);
+  const std::pair<float, int64_t> settings[] = {{0.5f, 1000}, {0.2f, 2}};
+  for (const auto& [threshold, max_per_item] : settings) {
+    index.BuildSimilarSets(threshold, max_per_item);
+    for (int64_t v = 0; v < ds.num_items; ++v) {
+      for (int k = 0; k < num_intents; ++k) {
+        EXPECT_EQ(index.SimilarSet(v, k),
+                  ReferenceSimilarSet(index, v, k, threshold, max_per_item))
+            << "item " << v << " intent " << k << " threshold " << threshold;
+      }
+    }
+  }
+}
+
 /// Sorted per-entity degree sequence of an edge list's left (or right)
 /// endpoints — invariant under any relabeling of ids.
 std::vector<int64_t> DegreeSequence(const EdgeList& edges, int64_t count,

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "util/fault_injector.h"
 #include "util/rng.h"
@@ -69,6 +71,97 @@ TEST(RngTest, CategoricalRespectsWeights) {
   for (int i = 0; i < 8000; ++i) ++counts[rng.Categorical(w)];
   EXPECT_EQ(counts[1], 0);
   EXPECT_NEAR(static_cast<double>(counts[2]) / counts[0], 3.0, 0.35);
+}
+
+bool SameState(const Rng& a, const Rng& b) {
+  const RngState sa = a.GetState(), sb = b.GetState();
+  return std::equal(sa.s, sa.s + 4, sb.s) &&
+         sa.have_cached_normal == sb.have_cached_normal;
+}
+
+TEST(CategoricalTableTest, MatchesCategoricalDrawForDraw) {
+  std::vector<double> power_law(6204);
+  for (size_t i = 0; i < power_law.size(); ++i) {
+    power_law[i] = std::pow(static_cast<double>((i * 2654435761u) % 6204 + 1),
+                            -0.9);
+  }
+  const std::vector<std::vector<double>> cases = {
+      {0.0, 0.0, 1.5, 0.0, 0.0, 2.0, 0.0, 0.25, 0.0, 0.0},  // Zeros all over.
+      {0.0, 0.0, 0.0, 3.0, 0.0},                            // One positive.
+      {7.0},                                                // Length one.
+      {1.0, 2.0, 3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0},   // Integers.
+      power_law,
+  };
+  for (size_t c = 0; c < cases.size(); ++c) {
+    const CategoricalTable table(cases[c]);
+    ASSERT_EQ(table.size(), static_cast<int64_t>(cases[c].size()));
+    Rng a(100 + c), b(100 + c);
+    for (int i = 0; i < 20000; ++i) {
+      ASSERT_EQ(table.Sample(&a), b.Categorical(cases[c]))
+          << "case " << c << " draw " << i;
+      ASSERT_TRUE(SameState(a, b)) << "case " << c << " draw " << i;
+    }
+  }
+}
+
+/// The inverse of an odd `a` modulo 2^64 (Newton's iteration).
+uint64_t InverseMod64(uint64_t a) {
+  uint64_t x = a;
+  for (int i = 0; i < 6; ++i) x *= 2 - a * x;
+  return x;
+}
+
+/// Points `rng` so that its next Uniform() returns exactly m * 2^-53. The
+/// xoshiro256** output is Rotl(s[1] * 5, 7) * 9, so s[1] is solved for.
+void AimNextUniform(uint64_t m, Rng* rng) {
+  const uint64_t out = m << 11;
+  const uint64_t y = out * InverseMod64(9);
+  RngState state = rng->GetState();
+  state.s[1] = ((y >> 7) | (y << 57)) * InverseMod64(5);
+  rng->SetState(state);
+}
+
+TEST(CategoricalTableTest, MatchesCategoricalAtPrefixBoundaries) {
+  // Sums of 0.1 multiples are inexact, so near a boundary the prefix-sum
+  // comparison and the scan's running remainder can round differently; the
+  // table must detect that and fall back to the scan.
+  std::vector<double> w(200);
+  for (int i = 0; i < 200; ++i) w[i] = 0.1 * (i % 7 + 1);
+  std::vector<double> prefix(w.size());
+  double sum = 0.0;
+  for (size_t i = 0; i < w.size(); ++i) prefix[i] = (sum += w[i]);
+  const double total = prefix.back();
+  const CategoricalTable table(w);
+  Rng a(5), b(5);
+  int64_t draws = 0, plain_search_wrong = 0;
+  for (double boundary : prefix) {
+    const auto center = static_cast<int64_t>(boundary / total * 0x1.0p53);
+    for (int64_t m = center - 64; m <= center + 64; ++m) {
+      if (m < 0 || m >= (int64_t{1} << 53)) continue;
+      AimNextUniform(static_cast<uint64_t>(m), &a);
+      AimNextUniform(static_cast<uint64_t>(m), &b);
+      const int64_t expected = b.Categorical(w);
+      ASSERT_EQ(table.Sample(&a), expected) << "m " << m;
+      ++draws;
+      const double x = static_cast<double>(m) * 0x1.0p-53 * total;
+      const int64_t plain =
+          std::upper_bound(prefix.begin(), prefix.end(), x) - prefix.begin();
+      if (plain != expected) ++plain_search_wrong;
+    }
+  }
+  EXPECT_GT(draws, 25000);
+  // Without the guard a bare binary search would be wrong here.
+  EXPECT_GT(plain_search_wrong, 0);
+}
+
+TEST(CategoricalTableDeathTest, RejectsNegativeWeight) {
+  const std::vector<double> w = {1.0, -0.5, 2.0};
+  EXPECT_DEATH(CategoricalTable table(w), "CHECK failed");
+}
+
+TEST(CategoricalTableDeathTest, RejectsZeroTotal) {
+  const std::vector<double> w = {0.0, 0.0, 0.0};
+  EXPECT_DEATH(CategoricalTable table(w), "CHECK failed");
 }
 
 TEST(RngTest, DirichletSumsToOne) {
