@@ -29,7 +29,7 @@ struct BenchEnv {
   double scale_multiplier = 1.0;
   int64_t max_epochs = 150;
   int num_seeds = 1;
-  int64_t embedding_dim = 16;
+  int64_t embedding_dim = 32;
 
   /// Reads the IMCAT_BENCH_* environment variables.
   static BenchEnv FromEnvironment();

@@ -18,7 +18,7 @@
 #   scripts/check.sh --tsan     # tsan leg only (full suite + race/chaos)
 #   scripts/check.sh --chaos    # fault-injection + serving chaos suites
 #   scripts/check.sh --overload # overload/brownout suite (plain + TSan)
-#   scripts/check.sh --kernel   # batched-scoring suite (plain + TSan) + kernel bench
+#   scripts/check.sh --kernel   # scoring + training bit-identity suites (plain + TSan) + kernel bench
 #   scripts/check.sh --store    # snapshot-store durability suite (plain + ASan)
 #   scripts/check.sh --fuzz     # ingestion corruption-fuzz sweep (sanitized)
 #   scripts/check.sh --docs     # docs link check + bench artifact schemas
@@ -214,7 +214,8 @@ if [[ "$run_kernel" == 1 ]]; then
   # The batched-scoring suite proves the two batching contracts twice:
   # plain for exact bit-identity (every kernel variant vs scalar loop,
   # packed snapshots vs row-major brute force, TopKBatch vs
-  # scalar TopK, batched Evaluate vs per-user), then under TSan because
+  # scalar TopK, batched Evaluate vs per-user, the training GEMMs vs their
+  # scalar loops, every model's pinned training bits), then under TSan because
   # request coalescing moves queue ownership across submitter, drain
   # tickets and cancel callbacks — exactly where a lost wakeup or a torn
   # dequeue would hide. The overload suite rides along: batching must not

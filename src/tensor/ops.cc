@@ -1,7 +1,11 @@
 #include "tensor/ops.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <type_traits>
+
+#include "tensor/score_kernel.h"
 
 namespace imcat {
 namespace ops {
@@ -9,12 +13,49 @@ namespace {
 
 using Node = internal::TensorNode;
 
+// Rows of A scored per ScorePanels call in GemmNT: bounds its score scratch
+// to kGemmRowBlock x n floats whatever m is.
+constexpr int64_t kGemmRowBlock = 64;
+
+/// C(m x n) += alpha * A(m x k) * B(n x k)^T through the panel kernel: B is
+/// packed into panels once, then blocks of A's rows are scored against it.
+/// Each C_ij gets alpha times one ascending-p fp32 chain from +0
+/// (ScorePanels' bit-exactness contract), so the result is the textbook
+/// `acc += a_ip * b_jp; c_ij += alpha * acc` loop bit for bit. The scratch
+/// (B's panels, at most kGemmRowBlock rows of scores) is per call.
+void GemmNT(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
+            const float* b, float* c) {
+  std::vector<float> panels;
+  PackPanels(b, n, k, &panels);
+  const int64_t num_panels = NumPanels(n);
+  const int64_t stride = num_panels * kPanelItems;
+  const int64_t max_block = std::min(kGemmRowBlock, m);
+  std::vector<const float*> rows(static_cast<size_t>(max_block));
+  std::vector<float> scores(static_cast<size_t>(max_block * stride));
+  for (int64_t i0 = 0; i0 < m; i0 += kGemmRowBlock) {
+    const int64_t block = std::min(kGemmRowBlock, m - i0);
+    for (int64_t r = 0; r < block; ++r) rows[r] = a + (i0 + r) * k;
+    ScorePanels(rows.data(), block, panels.data(), 0, num_panels, k,
+                scores.data(), stride);
+    for (int64_t r = 0; r < block; ++r) {
+      float* ci = c + (i0 + r) * n;
+      const float* si = scores.data() + r * stride;
+      for (int64_t j = 0; j < n; ++j) ci[j] += alpha * si[j];
+    }
+  }
+}
+
 /// C(m x n) += alpha * op(A) * op(B), where op transposes when the flag is
-/// set. A naive cache-friendly kernel (ikj order for the NN case).
+/// set (not both). NN and TN run cache-friendly ikj/pij loops; NT goes
+/// through GemmNT.
 void GemmAccumulate(bool trans_a, bool trans_b, int64_t m, int64_t n,
                     int64_t k, float alpha, const float* a, const float* b,
                     float* c) {
-  if (!trans_a && !trans_b) {
+  IMCAT_CHECK(!(trans_a && trans_b));
+  if (trans_b) {
+    // A (m x k), B (n x k): C_ij += A_i . B_j
+    GemmNT(m, n, k, alpha, a, b, c);
+  } else if (!trans_a) {
     for (int64_t i = 0; i < m; ++i) {
       const float* ai = a + i * k;
       float* ci = c + i * n;
@@ -25,19 +66,7 @@ void GemmAccumulate(bool trans_a, bool trans_b, int64_t m, int64_t n,
         for (int64_t j = 0; j < n; ++j) ci[j] += av * bp[j];
       }
     }
-  } else if (!trans_a && trans_b) {
-    // A (m x k), B (n x k): C_ij += A_i . B_j
-    for (int64_t i = 0; i < m; ++i) {
-      const float* ai = a + i * k;
-      float* ci = c + i * n;
-      for (int64_t j = 0; j < n; ++j) {
-        const float* bj = b + j * k;
-        float acc = 0.0f;
-        for (int64_t p = 0; p < k; ++p) acc += ai[p] * bj[p];
-        ci[j] += alpha * acc;
-      }
-    }
-  } else if (trans_a && !trans_b) {
+  } else {
     // A (k x m), B (k x n): C_ij += sum_p A_pi B_pj
     for (int64_t p = 0; p < k; ++p) {
       const float* ap = a + p * m;
@@ -47,16 +76,6 @@ void GemmAccumulate(bool trans_a, bool trans_b, int64_t m, int64_t n,
         if (av == 0.0f) continue;
         float* ci = c + i * n;
         for (int64_t j = 0; j < n; ++j) ci[j] += av * bp[j];
-      }
-    }
-  } else {
-    // A (k x m), B (n x k): C_ij += sum_p A_pi B_jp
-    for (int64_t i = 0; i < m; ++i) {
-      float* ci = c + i * n;
-      for (int64_t j = 0; j < n; ++j) {
-        float acc = 0.0f;
-        for (int64_t p = 0; p < k; ++p) acc += a[p * m + i] * b[j * k + p];
-        ci[j] += alpha * acc;
       }
     }
   }
@@ -711,16 +730,30 @@ Tensor PairwiseSqDist(const Tensor& a, const Tensor& b) {
       const float* pb = bn->data.data();
       if (an->requires_grad) an->EnsureGrad();
       if (bn->requires_grad) bn->EnsureGrad();
-      for (int64_t i = 0; i < n; ++i) {
-        for (int64_t j = 0; j < k; ++j) {
-          const float gij = 2.0f * g[i * k + j];
-          if (gij == 0.0f) continue;
-          for (int64_t c = 0; c < d; ++c) {
-            const float diff = pa[i * d + c] - pb[j * d + c];
-            if (an->requires_grad) an->grad[i * d + c] += gij * diff;
-            if (bn->requires_grad) bn->grad[j * d + c] -= gij * diff;
+      float* ga = an->requires_grad ? an->grad.data() : nullptr;
+      float* gb = bn->requires_grad ? bn->grad.data() : nullptr;
+      // One nest per gradient combination, so the element loop carries no
+      // branch. PairwiseSqDist(a, a) points ga and gb at one buffer: the
+      // per-element order (a's update, then b's) is part of the result.
+      auto nest = [&](auto grad_a, auto grad_b) {
+        for (int64_t i = 0; i < n; ++i) {
+          for (int64_t j = 0; j < k; ++j) {
+            const float gij = 2.0f * g[i * k + j];
+            if (gij == 0.0f) continue;
+            for (int64_t c = 0; c < d; ++c) {
+              const float diff = pa[i * d + c] - pb[j * d + c];
+              if constexpr (grad_a) ga[i * d + c] += gij * diff;
+              if constexpr (grad_b) gb[j * d + c] -= gij * diff;
+            }
           }
         }
+      };
+      if (ga != nullptr && gb != nullptr) {
+        nest(std::true_type{}, std::true_type{});
+      } else if (ga != nullptr) {
+        nest(std::true_type{}, std::false_type{});
+      } else {
+        nest(std::false_type{}, std::true_type{});
       }
     };
   }

@@ -7,13 +7,13 @@
 
 /// \file score_kernel.h
 /// The one dense scoring kernel shared by the serving and offline-eval hot
-/// paths (DESIGN.md §12). Scoring U users against N items is a U x N slice
-/// of a matrix-matrix product; doing it one user at a time streams the
-/// whole item-factor table through cache once *per user*. The kernel
-/// instead walks the item table in blocks and scores every user of the
-/// batch against the resident block, so the table streams through cache
-/// once *per batch* — the same cache-resident restructuring iALS++ applies
-/// to the solver side.
+/// paths and by training's NT GEMM (`ops::MatMulNT`; DESIGN.md §12).
+/// Scoring U users against N items is a U x N slice of a matrix-matrix
+/// product; doing it one user at a time streams the whole item-factor
+/// table through cache once *per user*. The kernel instead walks the item
+/// table in blocks and scores every user of the batch against the resident
+/// block, so the table streams through cache once *per batch* — the same
+/// cache-resident restructuring iALS++ applies to the solver side.
 ///
 /// Item factors are stored as *panels*: item `i` lives in panel
 /// `i / kPanelItems`, lane `i % kPanelItems`, and a panel holds `dim` rows

@@ -1,6 +1,7 @@
 #include "tensor/ops.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -418,6 +419,132 @@ TEST(OpsGradTest, DeepChain) {
         return Mean(h);
       },
       {RandomTensor(2, 3, &rng), RandomTensor(3, 3, &rng)});
+}
+
+// ---------------------------------------------------------------------------
+// Bit-exactness: the dense ops against the scalar loops they replace. The
+// training bits of every model rest on these, so any reassociation or fused
+// multiply-add (a build flag, a kernel change) must fail here.
+// ---------------------------------------------------------------------------
+
+bool SameBits(float a, float b) {
+  return std::memcmp(&a, &b, sizeof(float)) == 0;
+}
+
+/// The reference dot product: one fp32 chain from 0 over ascending index.
+float ScalarDot(const float* u, const float* v, int64_t dim) {
+  float acc = 0.0f;
+  for (int64_t p = 0; p < dim; ++p) acc += u[p] * v[p];
+  return acc;
+}
+
+void FillRandom(float* p, int64_t size, Rng* rng) {
+  for (int64_t i = 0; i < size; ++i) {
+    p[i] = static_cast<float>(rng->Uniform(-1.0, 1.0));
+  }
+}
+
+constexpr int64_t kPanelDims[] = {1, 15, 16, 17, 129};
+constexpr int64_t kInnerDims[] = {1, 3, 8, 33};
+constexpr int64_t kRowDims[] = {1, 2, 3, 8};
+
+TEST(OpsBitExactTest, MatMulNTForwardMatchesScalarLoop) {
+  for (int64_t n : kPanelDims) {
+    for (int64_t d : kInnerDims) {
+      for (int64_t m : kRowDims) {
+        Rng rng(static_cast<uint64_t>(n * 1000 + d * 10 + m));
+        Tensor a = RandomTensor(m, d, &rng, false);
+        Tensor b = RandomTensor(n, d, &rng, false);
+        Tensor c = MatMulNT(a, b);
+        int64_t mismatches = 0;
+        for (int64_t i = 0; i < m; ++i) {
+          for (int64_t j = 0; j < n; ++j) {
+            float expected = 0.0f;
+            expected += 1.0f * ScalarDot(a.data() + i * d, b.data() + j * d, d);
+            if (!SameBits(c.at(i, j), expected)) ++mismatches;
+          }
+        }
+        EXPECT_EQ(mismatches, 0) << "m=" << m << " n=" << n << " d=" << d;
+      }
+    }
+  }
+}
+
+TEST(OpsBitExactTest, MatMulBackwardMatchesScalarLoops) {
+  // C = A * B with A (m x n), B (n x d); dC = W exactly (Sum then Mul by a
+  // constant). Both gradients start non-zero, so each update is an
+  // accumulation: dA += dC * B^T (the NT GEMM) and dB += A^T * dC.
+  for (int64_t n : kPanelDims) {
+    for (int64_t d : kInnerDims) {
+      for (int64_t m : kRowDims) {
+        Rng rng(static_cast<uint64_t>(n * 1000 + d * 10 + m + 7));
+        Tensor a = RandomTensor(m, n, &rng);
+        Tensor b = RandomTensor(n, d, &rng);
+        Tensor w = RandomTensor(m, d, &rng, false);
+        FillRandom(a.grad(), a.size(), &rng);
+        FillRandom(b.grad(), b.size(), &rng);
+        const std::vector<float> a_grad(a.grad(), a.grad() + a.size());
+        const std::vector<float> b_grad(b.grad(), b.grad() + b.size());
+        Backward(Sum(Mul(MatMul(a, b), w)));
+        int64_t mismatches = 0;
+        for (int64_t i = 0; i < m; ++i) {
+          for (int64_t p = 0; p < n; ++p) {
+            float expected = a_grad[i * n + p];
+            expected += 1.0f * ScalarDot(w.data() + i * d, b.data() + p * d, d);
+            if (!SameBits(a.grad()[i * n + p], expected)) ++mismatches;
+          }
+        }
+        for (int64_t p = 0; p < n; ++p) {
+          for (int64_t j = 0; j < d; ++j) {
+            float expected = b_grad[p * d + j];
+            for (int64_t i = 0; i < m; ++i) {
+              const float av = 1.0f * a.at(i, p);
+              if (av != 0.0f) expected += av * w.at(i, j);
+            }
+            if (!SameBits(b.grad()[p * d + j], expected)) ++mismatches;
+          }
+        }
+        EXPECT_EQ(mismatches, 0) << "m=" << m << " n=" << n << " d=" << d;
+      }
+    }
+  }
+}
+
+TEST(OpsBitExactTest, SelfPairwiseSqDistMatchesScalarNest) {
+  // PairwiseSqDist(a, a), as the independence loss calls it: both gradient
+  // updates land in one buffer, so the per-element update order is part of
+  // the result.
+  const int64_t n = 13, d = 33;
+  Rng rng(41);
+  Tensor a = RandomTensor(n, d, &rng);
+  Tensor w = RandomTensor(n, n, &rng, false);
+  FillRandom(a.grad(), a.size(), &rng);
+  std::vector<float> expected_grad(a.grad(), a.grad() + a.size());
+  Tensor dist = PairwiseSqDist(a, a);
+  Backward(Sum(Mul(dist, w)));
+  const float* pa = a.data();
+  int64_t mismatches = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = 0; j < n; ++j) {
+      float expected = 0.0f;
+      for (int64_t c = 0; c < d; ++c) {
+        const float diff = pa[i * d + c] - pa[j * d + c];
+        expected += diff * diff;
+      }
+      if (!SameBits(dist.at(i, j), expected)) ++mismatches;
+      const float gij = 2.0f * w.at(i, j);
+      if (gij == 0.0f) continue;
+      for (int64_t c = 0; c < d; ++c) {
+        const float diff = pa[i * d + c] - pa[j * d + c];
+        expected_grad[i * d + c] += gij * diff;
+        expected_grad[j * d + c] -= gij * diff;
+      }
+    }
+  }
+  for (int64_t i = 0; i < a.size(); ++i) {
+    if (!SameBits(a.grad()[i], expected_grad[i])) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 // ---------------------------------------------------------------------------

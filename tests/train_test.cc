@@ -1,6 +1,7 @@
 #include "tests/temp_path.h"
 #include "train/trainer.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <optional>
@@ -9,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/registry.h"
+#include "data/presets.h"
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "serve/shard_format.h"
@@ -341,6 +344,68 @@ TEST(TrainerTest, ExportServingCheckpointRefusesModelsWithoutScoringFactors) {
             StatusCode::kFailedPrecondition);
   EXPECT_FALSE(std::ifstream(path).good());
 }
+
+/// FNV-1a over raw bytes, chained through `h`.
+uint64_t Fnv1a(uint64_t h, const void* bytes, size_t size) {
+  const auto* p = static_cast<const unsigned char*>(bytes);
+  for (size_t i = 0; i < size; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+struct PinnedTraining {
+  const char* model;
+  uint64_t hash;
+};
+
+class TrainingPinTest : public ::testing::TestWithParam<PinnedTraining> {};
+
+TEST_P(TrainingPinTest, TrainingOutputIsPinned) {
+  // Every loss and every final parameter bit of 30 steps. Kernel,
+  // vectoriser or build-flag changes must leave these bits unchanged; a
+  // change that moves floats on purpose re-takes the hashes and says why.
+  // pretrain_steps 4 lets the IMCAT variants run the KL, CA and
+  // independence losses (alignment activates at step 4).
+  const Dataset ds = GeneratePreset("CiteULike", 0.1, /*seed=*/1);
+  const DataSplit split = SplitByUser(ds, SplitOptions{});
+  ModelFactoryOptions options;
+  options.embedding_dim = 32;
+  options.seed = 1;
+  options.imcat.pretrain_steps = 4;
+  auto created = CreateModel(GetParam().model, ds, split, options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  TrainableModel* model = created.value().get();
+  Rng rng(1);
+  model->OnEpochBegin(0);
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (int step = 0; step < 30; ++step) {
+    const double loss = model->TrainStep(&rng);
+    h = Fnv1a(h, &loss, sizeof loss);
+  }
+  for (const Tensor& t : model->Parameters()) {
+    h = Fnv1a(h, t.data(), sizeof(float) * static_cast<size_t>(t.size()));
+  }
+  EXPECT_EQ(h, GetParam().hash);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Models, TrainingPinTest,
+    ::testing::Values(PinnedTraining{"L-IMCAT", 0xd27511f8610ad30fULL},
+                      PinnedTraining{"LightGCN", 0x2de9ad967c7aa73fULL},
+                      PinnedTraining{"BPRMF", 0xe85d862d45502ef1ULL},
+                      PinnedTraining{"B-IMCAT", 0xe8b75139066c059eULL},
+                      PinnedTraining{"NeuMF", 0x29149b28224eca28ULL},
+                      PinnedTraining{"N-IMCAT", 0xee5b42d6951d2e6dULL},
+                      PinnedTraining{"SGL", 0x159ee9cf9e08b213ULL},
+                      PinnedTraining{"KGCL", 0x1011d260b3a1251dULL},
+                      PinnedTraining{"KGIN", 0xb3c75c0c85b5d1b6ULL}),
+    [](const auto& info) {
+      std::string name = info.param.model;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 }  // namespace
 }  // namespace imcat
