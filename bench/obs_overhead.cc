@@ -1,9 +1,8 @@
 // Micro-benchmarks of the observability layer (google-benchmark):
 // counter/gauge/histogram hot paths uncontended and under 8-way
 // contention, ScopedTimer (two clock reads + a record), registry
-// snapshot cost as the metric count grows, journal appends, and the
-// end-to-end claim behind DESIGN.md §9: an instrumented Evaluator runs
-// within noise (<2%) of an uninstrumented one. EXPERIMENTS.md records
+// snapshot cost as the metric count grows, journal appends, and one
+// always-instrumented Evaluate run (DESIGN.md §9). EXPERIMENTS.md records
 // representative numbers.
 
 #include <benchmark/benchmark.h>
@@ -174,10 +173,9 @@ EvalFixture& SharedEvalFixture() {
   return fixture;
 }
 
-void RunEvalBenchmark(benchmark::State& state, MetricsRegistry* metrics) {
+void BM_Evaluate(benchmark::State& state) {
   EvalFixture& fixture = SharedEvalFixture();
   Evaluator evaluator(fixture.dataset, fixture.split);
-  evaluator.set_metrics(metrics);
   HashRanker ranker(fixture.dataset.num_items);
   int64_t users = 0;
   for (auto _ : state) {
@@ -188,17 +186,7 @@ void RunEvalBenchmark(benchmark::State& state, MetricsRegistry* metrics) {
   }
   state.SetItemsProcessed(users);
 }
-
-void BM_EvaluateUninstrumented(benchmark::State& state) {
-  RunEvalBenchmark(state, nullptr);
-}
-BENCHMARK(BM_EvaluateUninstrumented);
-
-void BM_EvaluateInstrumented(benchmark::State& state) {
-  static MetricsRegistry registry;
-  RunEvalBenchmark(state, &registry);
-}
-BENCHMARK(BM_EvaluateInstrumented);
+BENCHMARK(BM_Evaluate);
 
 }  // namespace
 }  // namespace imcat

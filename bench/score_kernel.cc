@@ -1,7 +1,8 @@
 // Microbenchmark for the panel scoring kernel (tensor/score_kernel.h,
 // DESIGN.md §12) at the serving shape of perfbench's serve workloads
 // (100k items, dim 64): milliseconds to score the whole catalogue for a
-// batch of 1, 2 or 8 users, for every kernel variant this CPU supports,
+// batch of 1, 2, 4 or 8 users (a lone user, one 2-user tile, one AVX2
+// 4-user tile, the eval batch), for every kernel variant this CPU supports,
 // against the one-user-at-a-time scalar loop over the row-major table.
 // The kernel walks the panel table in 1024-item blocks (the serving
 // default, RecommenderOptions::block_items) and scores each block for the
@@ -93,7 +94,7 @@ int main() {
   const int64_t stride = num_panels * imcat::kPanelItems;
   std::vector<float> out(static_cast<size_t>(kMaxBatch * stride));
   bool all_identical = true;
-  for (int64_t batch : {int64_t{1}, int64_t{2}, int64_t{8}}) {
+  for (int64_t batch : {int64_t{1}, int64_t{2}, int64_t{4}, int64_t{8}}) {
     const double scalar_ms = MedianMs([&] { scalar(batch); });
     const double scores = static_cast<double>(batch * kNumItems);
     for (const imcat::ScoreKernelVariant& variant :

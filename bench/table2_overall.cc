@@ -2,13 +2,19 @@
 // dataset presets. Prints measured values (in %, as in the paper) with
 // the paper's reported numbers alongside for shape comparison. Datasets
 // can be restricted via IMCAT_BENCH_DATASETS (comma-separated names) and
-// models via IMCAT_BENCH_MODELS.
+// models via IMCAT_BENCH_MODELS. With IMCAT_BENCH_SEEDS >= 2, each
+// dataset also gets a table of every IMCAT variant against its backbone
+// (B-IMCAT/BPRMF, N-IMCAT/NeuMF, L-IMCAT/LightGCN, when both ran): the
+// mean difference and the two-sided paired t-test p-value over the
+// per-seed test results (seeds are shared, so runs pair by seed).
 
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <vector>
 
 #include "bench/runner.h"
+#include "eval/significance.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
 
@@ -112,6 +118,35 @@ std::vector<std::string> ListFromEnv(const char* name,
   return out.empty() ? dflt : out;
 }
 
+// IMCAT variant -> the backbone it extends.
+const std::vector<std::pair<std::string, std::string>> kImcatBackbones = {
+    {"B-IMCAT", "BPRMF"}, {"N-IMCAT", "NeuMF"}, {"L-IMCAT", "LightGCN"}};
+
+// One test metric (in %) per seed.
+std::vector<double> PerSeedPercent(
+    const std::vector<imcat::bench::RunResult>& runs, bool ndcg) {
+  std::vector<double> values;
+  for (const imcat::bench::RunResult& r : runs) {
+    values.push_back(100.0 * (ndcg ? r.test.ndcg : r.test.recall));
+  }
+  return values;
+}
+
+// "+0.42 (p=0.031)": mean of imcat - backbone over the seeds, and the
+// paired t-test p-value.
+std::string PairedCell(const std::vector<double>& imcat_values,
+                       const std::vector<double>& backbone_values) {
+  double diff = 0.0;
+  for (size_t s = 0; s < imcat_values.size(); ++s) {
+    diff += imcat_values[s] - backbone_values[s];
+  }
+  diff /= static_cast<double>(imcat_values.size());
+  const imcat::TTestResult test =
+      imcat::PairedTTest(imcat_values, backbone_values);
+  return (diff >= 0.0 ? "+" : "") + imcat::FormatDouble(diff, 2) +
+         " (p=" + imcat::FormatDouble(test.p_value, 3) + ")";
+}
+
 }  // namespace
 
 int main() {
@@ -134,9 +169,10 @@ int main() {
                 static_cast<long long>(stats.num_interactions));
     imcat::TablePrinter table(
         {"Model", "R@20", "N@20", "paper R@20", "paper N@20", "sec"});
+    std::map<std::string, std::vector<imcat::bench::RunResult>> runs_by_model;
     for (const std::string& model : models) {
-      const std::vector<imcat::bench::RunResult> runs =
-          imcat::bench::RunSeeds(model, &workload, env);
+      const std::vector<imcat::bench::RunResult>& runs =
+          runs_by_model[model] = imcat::bench::RunSeeds(model, &workload, env);
       double seconds = 0.0;
       for (const auto& r : runs) seconds += r.train_seconds;
       const auto& paper = PaperTable2().at(model).at(dataset);
@@ -151,6 +187,22 @@ int main() {
       std::fflush(stdout);
     }
     table.Print();
+    if (env.num_seeds < 2) continue;
+    imcat::TablePrinter paired({"IMCAT vs backbone", "dR@20 (p)", "dN@20 (p)"});
+    for (const auto& [imcat_model, backbone] : kImcatBackbones) {
+      if (runs_by_model.count(imcat_model) == 0 ||
+          runs_by_model.count(backbone) == 0) {
+        continue;
+      }
+      const auto& ours = runs_by_model.at(imcat_model);
+      const auto& base = runs_by_model.at(backbone);
+      paired.AddRow({imcat_model + " vs " + backbone,
+                     PairedCell(PerSeedPercent(ours, false),
+                                PerSeedPercent(base, false)),
+                     PairedCell(PerSeedPercent(ours, true),
+                                PerSeedPercent(base, true))});
+    }
+    paired.Print();
   }
   return 0;
 }

@@ -1,6 +1,8 @@
 #include "eval/evaluator.h"
 
 #include <algorithm>
+#include <cstring>
+#include <functional>
 #include <limits>
 
 #include "tensor/score_kernel.h"
@@ -53,14 +55,15 @@ Evaluator::Evaluator(const Dataset& dataset, const DataSplit& split)
     ++item_degree_[v];
   }
   for (auto& items : train_items_) std::sort(items.begin(), items.end());
+  set_metrics(nullptr);
 }
 
 void Evaluator::set_metrics(MetricsRegistry* metrics) {
   if (metrics == nullptr) {
-    runs_total_ = nullptr;
-    users_total_ = nullptr;
-    wall_ms_ = nullptr;
-    return;
+    if (own_metrics_ == nullptr) {
+      own_metrics_ = std::make_unique<MetricsRegistry>();
+    }
+    metrics = own_metrics_.get();
   }
   runs_total_ = metrics->GetCounter("eval_runs_total");
   users_total_ = metrics->GetCounter("eval_users_total");
@@ -84,41 +87,102 @@ std::vector<int64_t> Evaluator::TopNForUser(const Ranker& ranker, int64_t user,
   return TopNFromScores(user, scores.data(), top_n);
 }
 
+namespace {
+
+// One SSE register (the x86-64 baseline) of scores and of compare results.
+typedef float Vec4 __attribute__((vector_size(16)));
+typedef int32_t Mask4 __attribute__((vector_size(16)));
+
+// Scores per group row: group j holds the ids congruent to j modulo the
+// group count, a multiple of this.
+constexpr int64_t kGroupRow = 64;
+// Scores the collect pass tests at once.
+constexpr int64_t kChunk = 16;
+
+Vec4 Load4(const float* p) {
+  Vec4 v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+// `x > m ? x : m` per lane: a NaN x compares false and leaves m unchanged.
+Vec4 MaxSkippingNaN(Vec4 m, Vec4 x) { return x > m ? x : m; }
+
+// A threshold t such that every top-`limit` item of the row scores >= t.
+// Items are split into `groups` residue classes (id mod groups); t is the
+// `limit`-th largest class maximum. Those `limit` maxima belong to
+// distinct items, so at least `limit` items score >= t, and hence so does
+// every item of the top `limit`. Returns -inf (every item qualifies) when
+// the row is shorter than one group row.
+float SelectionThreshold(const float* scores, int64_t num_items,
+                         int64_t limit) {
+  constexpr float kNegInf = -std::numeric_limits<float>::infinity();
+  const int64_t groups = (limit + kGroupRow - 1) / kGroupRow * kGroupRow;
+  if (num_items < groups) return kNegInf;
+  std::vector<float> maxima(static_cast<size_t>(groups), kNegInf);
+  int64_t row = 0;
+  for (; row + groups <= num_items; row += groups) {
+    for (int64_t j = 0; j < groups; j += 4) {
+      const Vec4 m = MaxSkippingNaN(Load4(&maxima[j]), Load4(scores + row + j));
+      std::memcpy(&maxima[j], &m, sizeof(m));
+    }
+  }
+  for (int64_t j = 0; row + j < num_items; ++j) {
+    if (scores[row + j] > maxima[j]) maxima[j] = scores[row + j];
+  }
+  std::nth_element(maxima.begin(), maxima.begin() + (limit - 1), maxima.end(),
+                   std::greater<float>());
+  return maxima[limit - 1];
+}
+
+}  // namespace
+
 std::vector<int64_t> Evaluator::TopNFromScores(int64_t user, float* scores,
                                                int top_n) const {
   constexpr float kMasked = -std::numeric_limits<float>::infinity();
   for (int64_t v : train_items_[user]) scores[v] = kMasked;
   const int64_t limit = std::min<int64_t>(top_n, num_items_);
   if (limit <= 0) return {};
-  // Bounded selection in ascending id order under (score desc, id asc).
-  // `kept` is a heap whose front is the worst item kept so far; a later
-  // item has a larger id, so it loses every tie and displaces the front
-  // only when it scores strictly higher.
+  // Pass 1 bounds the top `limit` from below; pass 2 collects every item
+  // at or above the bound (`>=` also rejects NaN), testing kChunk scores
+  // at once and scanning a chunk only when one of them qualifies.
+  const float threshold = SelectionThreshold(scores, num_items_, limit);
   struct Entry {
     float score;
     int64_t item;
   };
-  const auto better = [](const Entry& a, const Entry& b) {
-    return a.score != b.score ? a.score > b.score : a.item < b.item;
-  };
-  std::vector<Entry> kept;
-  kept.reserve(static_cast<size_t>(limit));
-  for (int64_t v = 0; v < limit; ++v) kept.push_back({scores[v], v});
-  std::make_heap(kept.begin(), kept.end(), better);
-  float threshold = kept.front().score;
-  for (int64_t v = limit; v < num_items_; ++v) {
-    if (!(scores[v] > threshold)) continue;
-    std::pop_heap(kept.begin(), kept.end(), better);
-    kept.back() = {scores[v], v};
-    std::push_heap(kept.begin(), kept.end(), better);
-    threshold = kept.front().score;
+  std::vector<Entry> candidates;
+  const Vec4 t = {threshold, threshold, threshold, threshold};
+  int64_t v = 0;
+  for (; v + kChunk <= num_items_; v += kChunk) {
+    const Mask4 hit =
+        (Load4(scores + v) >= t) | (Load4(scores + v + 4) >= t) |
+        (Load4(scores + v + 8) >= t) | (Load4(scores + v + 12) >= t);
+    uint64_t halves[2];
+    std::memcpy(halves, &hit, sizeof(halves));
+    if ((halves[0] | halves[1]) == 0) continue;
+    for (int64_t i = v; i < v + kChunk; ++i) {
+      if (scores[i] >= threshold) candidates.push_back({scores[i], i});
+    }
   }
-  std::sort_heap(kept.begin(), kept.end(), better);  // Best first.
+  for (; v < num_items_; ++v) {
+    if (scores[v] >= threshold) candidates.push_back({scores[v], v});
+  }
+  // No NaN is left, so (score desc, id asc) is a strict total order.
+  std::sort(candidates.begin(), candidates.end(),
+            [](const Entry& a, const Entry& b) {
+              return a.score != b.score ? a.score > b.score : a.item < b.item;
+            });
+  if (static_cast<int64_t>(candidates.size()) > limit) {
+    candidates.resize(static_cast<size_t>(limit));
+  }
   // Truncate masked (training) items: when top_n exceeds the number of
   // unseen items they would otherwise pad the tail of the list.
-  while (!kept.empty() && kept.back().score == kMasked) kept.pop_back();
-  std::vector<int64_t> top(kept.size());
-  for (size_t i = 0; i < kept.size(); ++i) top[i] = kept[i].item;
+  while (!candidates.empty() && candidates.back().score == kMasked) {
+    candidates.pop_back();
+  }
+  std::vector<int64_t> top(candidates.size());
+  for (size_t i = 0; i < candidates.size(); ++i) top[i] = candidates[i].item;
   return top;
 }
 
@@ -218,8 +282,8 @@ EvalResult Evaluator::Evaluate(const Ranker& ranker,
     result.hit_rate /= n;
     result.mrr /= n;
   }
-  if (runs_total_ != nullptr) runs_total_->Increment();
-  if (users_total_ != nullptr) users_total_->Add(result.num_users);
+  runs_total_->Increment();
+  users_total_->Add(result.num_users);
   return result;
 }
 

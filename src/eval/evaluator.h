@@ -1,6 +1,7 @@
 #ifndef IMCAT_EVAL_EVALUATOR_H_
 #define IMCAT_EVAL_EVALUATOR_H_
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -123,11 +124,14 @@ class Evaluator {
 
   /// Rank from precomputed scores: masks `user`'s training items to -inf
   /// in `scores` (one full-catalogue row, mutated in place) and returns
-  /// the top-N ids (score desc, id asc; masked-tail truncated). One pass
-  /// over the row keeps an N-entry heap, admitting an item only when it
-  /// scores strictly above the current N-th (ids ascend, so ties lose).
-  /// The batched Evaluate path calls this once per user on its slice of
-  /// the multi-user score buffer; TopNForUser is this after a
+  /// the top-N ids (score desc, id asc; masked-tail truncated, so an
+  /// unseen item scoring -inf ranks like a training item). A NaN score is
+  /// never ranked: the row is ranked as if its NaN items were absent.
+  /// Exact two-pass selection (DESIGN.md §12): the N-th largest of the
+  /// per-residue-class maxima (id mod a multiple of 64 that is >= N)
+  /// bounds the top N from below, and only the items at or above it are
+  /// sorted. The batched Evaluate path calls this once per user on its
+  /// slice of the multi-user score buffer; TopNForUser is this after a
   /// ScoreItemsForUser call, so the two paths rank identically by
   /// construction.
   std::vector<int64_t> TopNFromScores(int64_t user, float* scores,
@@ -155,10 +159,11 @@ class Evaluator {
   /// Per-user relevant sets for an edge list, exposed for group analyses.
   std::vector<ItemSet> RelevantSets(const EdgeList& eval_edges) const;
 
-  /// Enables instrumentation (DESIGN.md §9): each Evaluate call bumps
+  /// Instrumentation (DESIGN.md §9), always on: each Evaluate call bumps
   /// `eval_runs_total`, adds the evaluated-user count to
-  /// `eval_users_total` and records its wall time into `eval_wall_ms`.
-  /// Null (the default) disables all of it, clock reads included.
+  /// `eval_users_total` and records its wall time into `eval_wall_ms`, in
+  /// `metrics` or, when it is null (the default), in a registry the
+  /// evaluator owns.
   void set_metrics(MetricsRegistry* metrics);
 
  private:
@@ -167,6 +172,8 @@ class Evaluator {
   int64_t batch_users_ = 8;
   std::vector<std::vector<int64_t>> train_items_;  // Sorted per user.
   std::vector<int64_t> item_degree_;
+  /// Registry of the handles below when set_metrics got none.
+  std::unique_ptr<MetricsRegistry> own_metrics_;
   Counter* runs_total_ = nullptr;
   Counter* users_total_ = nullptr;
   Histogram* wall_ms_ = nullptr;

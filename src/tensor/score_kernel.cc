@@ -50,11 +50,11 @@ template <typename V, int kUsers>
       for (int j = 0; j < kParts; ++j) {
         V v;
         std::memcpy(&v, panel + c * kPanelItems + j * kWidth, sizeof(V));
-#pragma GCC unroll 2
+#pragma GCC unroll 4
         for (int r = 0; r < kUsers; ++r) acc[r][j] += user_rows[r][c] * v;
       }
     }
-#pragma GCC unroll 2
+#pragma GCC unroll 4
     for (int r = 0; r < kUsers; ++r) {
 #pragma GCC unroll 4
       for (int j = 0; j < kParts; ++j) {
@@ -65,17 +65,28 @@ template <typename V, int kUsers>
   }
 }
 
-// Tiles 2 users x 16 lanes; an odd last user runs a 1-user tile.
+// Tiles users so that 8 accumulators are in flight: 8 / kParts users at a
+// time (4 for an 8-lane vector, 11 of AVX2's 16 registers with the two
+// panel-row loads and the broadcast; 2 for a 4-lane one, where 4 would
+// spill), then 2, then 1. Eight independent add chains hide the add
+// latency that a 4-chain tile waits on.
 template <typename V>
 [[gnu::always_inline]] inline void ScorePanelsBody(
     const float* const* user_rows, int64_t num_users, const float* panels,
     int64_t first_panel, int64_t num_panels, int64_t dim, float* out,
     int64_t out_stride) {
+  constexpr int kTileUsers = 8 / (kPanelItems / (sizeof(V) / sizeof(float)));
   const float* first = panels + first_panel * dim * kPanelItems;
   int64_t u = 0;
-  for (; u + 2 <= num_users; u += 2) {
-    ScoreTile<V, 2>(user_rows + u, first, num_panels, dim,
-                    out + u * out_stride, out_stride);
+  for (; u + kTileUsers <= num_users; u += kTileUsers) {
+    ScoreTile<V, kTileUsers>(user_rows + u, first, num_panels, dim,
+                             out + u * out_stride, out_stride);
+  }
+  if constexpr (kTileUsers > 2) {
+    for (; u + 2 <= num_users; u += 2) {
+      ScoreTile<V, 2>(user_rows + u, first, num_panels, dim,
+                      out + u * out_stride, out_stride);
+    }
   }
   if (u < num_users) {
     ScoreTile<V, 1>(user_rows + u, first, num_panels, dim,

@@ -9,8 +9,11 @@
 //     over the model's factor tables with a full sort, bit for bit — and
 //     still does after a training step, so panels left stale by a missed
 //     InvalidateEvalCache fail it.
-//  2. TopNFromScores' bounded selection ranks like a full sort, with ties,
-//     all-masked rows and top_n beyond the unseen items.
+//  2. TopNFromScores' two-pass selection ranks like a full sort, with ties
+//     (at the threshold and across residue groups), top items in one
+//     group, +-inf, NaNs (never ranked), all-masked rows and top_n beyond
+//     the unseen items, at catalogue sizes below, at and past one
+//     64-item group row.
 //  3. Every servable model exports a v3 snapshot whose RecService top-k
 //     (training items excluded) is Evaluator::TopNForUser id for id;
 //     models without factors are refused.
@@ -23,6 +26,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -225,18 +229,26 @@ INSTANTIATE_TEST_SUITE_P(InnerProductModels, EvalOracleTest,
 // ---------------------------------------------------------------------------
 // TopNFromScores
 
-// Reference ranking: drop training items, full sort by (score desc, id asc).
+// Reference ranking: drop training items and NaN scores, full sort by
+// (score desc, id asc), cut to top_n, then drop the -inf tail (an unseen
+// item scoring -inf ranks like a masked one).
 std::vector<int64_t> SortedTopN(const std::vector<float>& scores,
                                 const std::vector<int64_t>& train,
                                 int top_n) {
+  std::vector<bool> seen(scores.size(), false);
+  for (int64_t i : train) seen[i] = true;
   std::vector<int64_t> ids;
   for (int64_t i = 0; i < static_cast<int64_t>(scores.size()); ++i) {
-    if (std::count(train.begin(), train.end(), i) == 0) ids.push_back(i);
+    if (!seen[i] && !std::isnan(scores[i])) ids.push_back(i);
   }
   std::sort(ids.begin(), ids.end(), [&](int64_t a, int64_t b) {
     return scores[a] != scores[b] ? scores[a] > scores[b] : a < b;
   });
   if (static_cast<int64_t>(ids.size()) > top_n) ids.resize(top_n);
+  while (!ids.empty() && scores[ids.back()] ==
+                             -std::numeric_limits<float>::infinity()) {
+    ids.pop_back();
+  }
   return ids;
 }
 
@@ -273,6 +285,72 @@ TEST(TopNFromScoresTest, BoundedSelectionRanksLikeAFullSort) {
   // An all-masked row ranks nothing at any cutoff.
   std::vector<float> row = scores;
   EXPECT_TRUE(evaluator.TopNFromScores(1, row.data(), 50).empty());
+}
+
+// The two-pass selection at catalogue sizes around and well past one
+// 64-item group row, and cutoffs on both sides of the group count.
+TEST(TopNFromScoresTest, TwoPassSelectionRanksLikeAFullSortAtRealSizes) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (int64_t items : {63, 64, 65, 1000, 6204}) {
+    Dataset ds;
+    ds.num_users = 4;
+    ds.num_items = items;
+    ds.num_tags = 1;
+    DataSplit split;
+    // User 0 has seen nothing, user 1 every third item, user 2 every item
+    // and user 3 all but the last 10.
+    std::vector<std::vector<int64_t>> train(ds.num_users);
+    for (int64_t i = 0; i < items; i += 3) train[1].push_back(i);
+    for (int64_t i = 0; i < items; ++i) train[2].push_back(i);
+    for (int64_t i = 0; i + 10 < items; ++i) train[3].push_back(i);
+    for (int64_t u = 0; u < ds.num_users; ++u) {
+      for (int64_t i : train[u]) split.train.push_back({u, i});
+    }
+    Evaluator evaluator(ds, split);
+
+    std::mt19937 gen(static_cast<uint32_t>(items));
+    std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
+    std::vector<std::pair<std::string, std::vector<float>>> rows;
+    std::vector<float> row(static_cast<size_t>(items));
+    for (float& x : row) x = dist(gen);
+    rows.emplace_back("distinct", row);
+    // Eight values: ties at the threshold and across groups.
+    for (float& x : row) x = std::floor(dist(gen) * 4.0f);
+    rows.emplace_back("ties", row);
+    // Every high score in one residue class mod 64.
+    for (int64_t i = 0; i < items; ++i) {
+      row[i] = i % 64 == 5 ? 10.0f + dist(gen) : dist(gen);
+    }
+    rows.emplace_back("one_class", row);
+    // +inf and -inf scattered over unseen and seen items.
+    for (int64_t i = 0; i < items; ++i) {
+      row[i] = i % 7 == 2 ? kInf : i % 5 == 1 ? -kInf : dist(gen);
+    }
+    rows.emplace_back("infinities", row);
+    // NaNs among the first ids (inside every top_n's first slots), and
+    // scattered; one all-NaN residue class.
+    for (int64_t i = 0; i < items; ++i) {
+      row[i] = (i < 70 && i % 2 == 0) || i % 11 == 4 || i % 64 == 9
+                   ? nan
+                   : std::floor(dist(gen) * 8.0f);
+    }
+    rows.emplace_back("nans", row);
+
+    for (int64_t u = 0; u < ds.num_users; ++u) {
+      const int unseen =
+          static_cast<int>(items - static_cast<int64_t>(train[u].size()));
+      for (int top_n : {1, 20, 63, 64, 65, 200, unseen + 5}) {
+        for (const auto& [name, scores] : rows) {
+          SCOPED_TRACE(name + " items=" + std::to_string(items) + " user=" +
+                       std::to_string(u) + " top_n=" + std::to_string(top_n));
+          std::vector<float> copy = scores;
+          EXPECT_EQ(evaluator.TopNFromScores(u, copy.data(), top_n),
+                    SortedTopN(scores, train[u], top_n));
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -3,11 +3,12 @@
 //
 //  1. Every compiled kernel variant scores every (user, item) pair
 //     bit-equal to the scalar ascending-dimension fp32 loop, over a table
-//     of dims x item counts x user counts chosen to hit every tail: a lone
-//     user, an odd user after the 2-user tiles, a partial tail panel and a
-//     sub-range of panels. A variant this CPU cannot run is skipped by
-//     name, never passed silently. (ggml's test-backend-ops pattern: one
-//     table, every backend, one reference.)
+//     of dims x item counts x user counts chosen to hit every tail: user
+//     counts 1-9 run every remainder after each variant's wide tiles (4
+//     users for AVX2, 2 for portable) through its 2- and 1-user tiles, a
+//     partial tail panel and a sub-range of panels. A variant this CPU
+//     cannot run is skipped by name, never passed silently. (ggml's
+//     test-backend-ops pattern: one table, every backend, one reference.)
 //  2. The packed snapshot layout is invisible to callers: item values,
 //     scores and top-k rankings equal a brute force over the row-major
 //     tables the snapshot was written from — for shard sizes that do not
@@ -72,7 +73,7 @@ TEST_P(ScoreKernelVariantTest, BitEqualToScalarLoop) {
   }
   for (int64_t dim : {1, 3, 16, 17, 64, 65}) {
     for (int64_t items : {1, 15, 16, 17, 1029}) {
-      for (int64_t users : {1, 2, 3, 8}) {
+      for (int64_t users = 1; users <= 9; ++users) {
         SCOPED_TRACE(std::string(variant.name) + " dim=" +
                      std::to_string(dim) + " items=" + std::to_string(items) +
                      " users=" + std::to_string(users));
