@@ -360,6 +360,13 @@ struct PinnedTraining {
   uint64_t hash;
 };
 
+// gtest's default printer dumps the struct's bytes, `model`'s pointer
+// included, and the dump lands in the discovered CTest name: the name would
+// change with every process's load address.
+void PrintTo(const PinnedTraining& pin, std::ostream* os) {
+  *os << '"' << pin.model << '"';
+}
+
 class TrainingPinTest : public ::testing::TestWithParam<PinnedTraining> {};
 
 TEST_P(TrainingPinTest, TrainingOutputIsPinned) {
