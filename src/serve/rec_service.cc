@@ -796,9 +796,11 @@ void RecService::ProcessBatch(
   std::vector<Recommender::BatchQueryResult> results;
   if (!queries.empty()) {
     const RecRequest& head = batch[scored.front()]->request;
+    // The scan spans the service's idle workers: this worker scores the
+    // first chunk and any a helper has not claimed yet.
     const Status batch_status = recommender_.TopKBatch(
         *snapshot, queries, head.item_begin, head.item_end,
-        plans[scored.front()].max_scored_items, &results);
+        plans[scored.front()].max_scored_items, &results, &pool_);
     if (!batch_status.ok()) {
       // A malformed shared range (PlanRequest validated against this same
       // snapshot, so only reachable through a racing catalogue change):

@@ -1,13 +1,16 @@
 #include "serve/recommender.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <limits>
 #include <thread>
 #include <unordered_set>
 
 #include "tensor/score_kernel.h"
 #include "util/check.h"
 #include "util/fault_injector.h"
+#include "util/thread_pool.h"
 
 namespace imcat {
 
@@ -21,6 +24,12 @@ bool Better(const ScoredItem& a, const ScoredItem& b) {
   if (a.score != b.score) return a.score > b.score;
   return a.item < b.item;
 }
+
+/// The smallest chunk of a split scan, in items (rounded up to whole
+/// blocks): a range shorter than two of these is scanned as one chunk.
+/// About 16 default blocks, large enough that a chunk's work outweighs
+/// handing it to another thread.
+constexpr int64_t kMinChunkItems = 16 * 1024;
 
 }  // namespace
 
@@ -59,8 +68,9 @@ Status Recommender::TopK(const EmbeddingSnapshot& snapshot, int64_t user,
   query.deadline_ms = deadline_ms;
   query.exclude = &exclude;
   BatchQueryResult result;
-  const Status batch_status = TopKBatchImpl(snapshot, &query, 1, item_begin,
-                                            item_end, max_items, &result);
+  const Status batch_status =
+      TopKBatchImpl(snapshot, &query, 1, item_begin, item_end, max_items,
+                    &result, /*pool=*/nullptr);
   // Per-query validation (user, then k) outranks the range check, matching
   // the historical scalar precedence.
   if (!result.status.ok()) return std::move(result.status);
@@ -76,31 +86,23 @@ Status Recommender::TopKBatch(const EmbeddingSnapshot& snapshot,
                               const std::vector<BatchQuery>& queries,
                               int64_t item_begin, int64_t item_end,
                               int64_t max_items,
-                              std::vector<BatchQueryResult>* results) const {
+                              std::vector<BatchQueryResult>* results,
+                              ThreadPool* pool) const {
   results->clear();
   results->resize(queries.size());
   if (queries.empty()) return Status::OK();
   return TopKBatchImpl(snapshot, queries.data(),
                        static_cast<int64_t>(queries.size()), item_begin,
-                       item_end, max_items, results->data());
+                       item_end, max_items, results->data(), pool);
 }
 
 Status Recommender::TopKBatchImpl(const EmbeddingSnapshot& snapshot,
                                   const BatchQuery* queries,
                                   int64_t num_queries, int64_t item_begin,
                                   int64_t item_end, int64_t max_items,
-                                  BatchQueryResult* results) const {
+                                  BatchQueryResult* results,
+                                  ThreadPool* pool) const {
   static const std::vector<int64_t> kNoExclusions;
-
-  // Per-query state for the queries that passed validation and have not
-  // yet finished (completed queries leave `live` when their deadline
-  // expires; everyone else runs to the end of the range).
-  struct ActiveQuery {
-    int64_t index;  // Position in `queries` / `results`.
-    std::unordered_set<int64_t> excluded;
-    std::vector<ScoredItem> heap;
-    int64_t skipped = 0;
-  };
 
   // Per-query validation first: a bad user or k poisons only that query.
   bool any_active = false;
@@ -133,63 +135,111 @@ Status Recommender::TopKBatchImpl(const EmbeddingSnapshot& snapshot,
   const double start_ms = now_ms_();
   const int64_t num_items = item_end;
 
+  // The queries that passed validation, with their exclusion sets (built
+  // once, then only read, by every chunk).
+  struct ActiveQuery {
+    int64_t index;  // Position in `queries` / `results`.
+    std::unordered_set<int64_t> excluded;
+  };
   std::vector<ActiveQuery> active;
   active.reserve(static_cast<size_t>(num_queries));
   for (int64_t i = 0; i < num_queries; ++i) {
     if (!results[i].status.ok()) continue;
-    active.emplace_back();
-    ActiveQuery& q = active.back();
-    q.index = i;
     const std::vector<int64_t>& exclude =
         queries[i].exclude != nullptr ? *queries[i].exclude : kNoExclusions;
-    q.excluded.insert(exclude.begin(), exclude.end());
-    q.heap.reserve(static_cast<size_t>(
-        std::min(queries[i].k, num_items - item_begin)));
+    active.push_back(ActiveQuery{
+        i, std::unordered_set<int64_t>(exclude.begin(), exclude.end())});
   }
+  // What the chunks of active query `a` share. `expired` is raised by the
+  // first chunk that sees the deadline pass; every other chunk drops the
+  // query at its next block boundary. `floor` is the highest k-th score of
+  // any chunk's full heap: that heap holds k items scoring at least
+  // `floor`, so an item scoring strictly lower cannot reach the top k, and
+  // every chunk may skip it without changing the merged result.
+  struct SharedQuery {
+    std::atomic<bool> expired{false};
+    std::atomic<float> floor{-std::numeric_limits<float>::infinity()};
+  };
+  std::vector<SharedQuery> shared(active.size());
 
-  // `live[r]` indexes into `active`; score-buffer row r belongs to it.
-  // Row pointers are rebuilt only when the live set changes (a deadline
-  // expiry), not per block.
-  std::vector<size_t> live(active.size());
-  for (size_t r = 0; r < live.size(); ++r) live[r] = r;
-  std::vector<const float*> user_rows;
-  bool rows_dirty = true;
-  // A segment scores every panel it overlaps; one that starts mid-panel
-  // overlaps one panel more than an aligned one of the same length.
-  const int64_t stride = (NumPanels(block_items_) + 1) * kPanelItems;
-  std::vector<float> scores(live.size() * static_cast<size_t>(stride));
+  // The chunk list is a function of the range alone: whole blocks, so the
+  // deadline checkpoints sit at the same item offsets however the range is
+  // split, and at least kMinChunkItems items per chunk.
+  const int64_t num_blocks =
+      (num_items - item_begin + block_items_ - 1) / block_items_;
+  const int64_t min_chunk_blocks = std::max<int64_t>(
+      1, (kMinChunkItems + block_items_ - 1) / block_items_);
+  const int64_t num_chunks =
+      std::max<int64_t>(1, num_blocks / min_chunk_blocks);
 
-  for (int64_t begin = item_begin; begin < num_items; begin += block_items_) {
-    if (begin > item_begin) {
-      // Deadline checkpoint between scoring blocks. The injected
-      // forced-slow fault burns budget here, exactly where a production
-      // stall (page fault storm, NUMA misplacement) would — once per
-      // block boundary for the whole batch, the same as one scalar pass.
-      FaultInjector& injector = FaultInjector::Instance();
-      if (injector.enabled()) {
-        const double slow_ms = injector.ConsumeSlowOp();
-        if (slow_ms > 0.0) {
-          std::this_thread::sleep_for(
-              std::chrono::duration<double, std::milli>(slow_ms));
+  // One chunk's partial result per active query: its own top-k heap and
+  // quarantine skips, or the item offset where it saw the deadline pass.
+  struct ChunkQuery {
+    std::vector<ScoredItem> heap;
+    int64_t skipped = 0;
+    int64_t expired_at = -1;
+  };
+  std::vector<std::vector<ChunkQuery>> partials(
+      static_cast<size_t>(num_chunks), std::vector<ChunkQuery>(active.size()));
+
+  auto scan_chunk = [&](int64_t chunk) {
+    const int64_t chunk_begin =
+        item_begin + chunk * num_blocks / num_chunks * block_items_;
+    const int64_t chunk_end = std::min(
+        num_items, item_begin + (chunk + 1) * num_blocks / num_chunks *
+                                    block_items_);
+    std::vector<ChunkQuery>& part = partials[static_cast<size_t>(chunk)];
+    // `live[r]` indexes into `active`; score-buffer row r belongs to it.
+    // Row pointers are rebuilt only when the live set changes (a deadline
+    // expiry), not per block.
+    std::vector<size_t> live;
+    for (size_t a = 0; a < active.size(); ++a) {
+      const BatchQuery& query = queries[active[a].index];
+      if (shared[a].expired.load(std::memory_order_relaxed)) continue;
+      live.push_back(a);
+      part[a].heap.reserve(static_cast<size_t>(
+          std::min(query.k, chunk_end - chunk_begin)));
+    }
+    std::vector<const float*> user_rows;
+    bool rows_dirty = true;
+    // A segment scores every panel it overlaps; one that starts mid-panel
+    // overlaps one panel more than an aligned one of the same length.
+    const int64_t stride = (NumPanels(block_items_) + 1) * kPanelItems;
+    std::vector<float> scores(live.size() * static_cast<size_t>(stride));
+
+    for (int64_t begin = chunk_begin; begin < chunk_end && !live.empty();
+         begin += block_items_) {
+      if (begin > item_begin) {
+        // Deadline checkpoint between scoring blocks. The injected
+        // forced-slow fault burns budget here, exactly where a production
+        // stall (page fault storm, NUMA misplacement) would — once per
+        // block boundary for the whole batch, the same as one scalar pass.
+        FaultInjector& injector = FaultInjector::Instance();
+        if (injector.enabled()) {
+          const double slow_ms = injector.ConsumeSlowOp();
+          if (slow_ms > 0.0) {
+            std::this_thread::sleep_for(
+                std::chrono::duration<double, std::milli>(slow_ms));
+          }
         }
-      }
-      // One clock read per boundary, shared by every live query — the
-      // same read sequence as a scalar pass, so fake-clock tests see
-      // identical timings at batch size 1.
-      bool any_deadline = false;
-      for (size_t r : live) {
-        any_deadline = any_deadline || queries[active[r].index].deadline_ms > 0.0;
-      }
-      if (any_deadline) {
-        const double elapsed_ms = now_ms_() - start_ms;
+        // One clock read per boundary, shared by every live query — the
+        // same read sequence as a scalar pass, so fake-clock tests see
+        // identical timings at batch size 1.
+        bool any_deadline = false;
+        for (size_t a : live) {
+          any_deadline =
+              any_deadline || queries[active[a].index].deadline_ms > 0.0;
+        }
+        const double elapsed_ms = any_deadline ? now_ms_() - start_ms : 0.0;
         for (size_t r = 0; r < live.size();) {
-          ActiveQuery& q = active[live[r]];
-          const double deadline_ms = queries[q.index].deadline_ms;
-          if (deadline_ms > 0.0 && elapsed_ms > deadline_ms) {
-            results[q.index].status = Status::DeadlineExceeded(
-                "top-k scoring exceeded " + std::to_string(deadline_ms) +
-                " ms after " + std::to_string(begin - item_begin) + "/" +
-                std::to_string(num_items - item_begin) + " items");
+          const size_t a = live[r];
+          const double deadline_ms = queries[active[a].index].deadline_ms;
+          const bool expires = deadline_ms > 0.0 && elapsed_ms > deadline_ms;
+          if (expires) {
+            part[a].expired_at = begin;
+            shared[a].expired.store(true, std::memory_order_relaxed);
+          }
+          if (expires || shared[a].expired.load(std::memory_order_relaxed)) {
             live.erase(live.begin() + static_cast<int64_t>(r));
             rows_dirty = true;
           } else {
@@ -198,80 +248,136 @@ Status Recommender::TopKBatchImpl(const EmbeddingSnapshot& snapshot,
         }
         if (live.empty()) break;
       }
-    }
-    if (rows_dirty) {
-      user_rows.resize(live.size());
-      for (size_t r = 0; r < live.size(); ++r) {
-        user_rows[r] = snapshot.user(queries[active[live[r]].index].user);
+      if (rows_dirty) {
+        user_rows.resize(live.size());
+        for (size_t r = 0; r < live.size(); ++r) {
+          user_rows[r] = snapshot.user(queries[active[live[r]].index].user);
+        }
+        rows_dirty = false;
       }
-      rows_dirty = false;
-    }
-    const int64_t end = std::min(begin + block_items_, num_items);
-    // The block in per-shard segments, each scored from its own shard's
-    // panels; segments never move a deadline boundary.
-    for (int64_t segment = begin; segment < end;) {
-      const int64_t shard = snapshot.shard_of_item(segment);
-      const int64_t shard_begin = snapshot.shard_range(shard).first;
-      const int64_t segment_end =
-          std::min(end, snapshot.shard_range(shard).second);
-      if (snapshot.shard_quarantined(shard)) {
-        // Zero placeholders, not scores: skipped and counted, never ranked.
-        for (size_t r : live) {
-          ActiveQuery& q = active[r];
+      const int64_t end = std::min(begin + block_items_, chunk_end);
+      // The block in per-shard segments, each scored from its own shard's
+      // panels; segments never move a deadline boundary.
+      for (int64_t segment = begin; segment < end;) {
+        const int64_t shard = snapshot.shard_of_item(segment);
+        const int64_t shard_begin = snapshot.shard_range(shard).first;
+        const int64_t segment_end =
+            std::min(end, snapshot.shard_range(shard).second);
+        if (snapshot.shard_quarantined(shard)) {
+          // Zero placeholders, not scores: skipped and counted, never
+          // ranked.
+          for (size_t a : live) {
+            const std::unordered_set<int64_t>& excluded = active[a].excluded;
+            for (int64_t item = segment; item < segment_end; ++item) {
+              if (excluded.empty() || excluded.count(item) == 0) {
+                ++part[a].skipped;
+              }
+            }
+          }
+          segment = segment_end;
+          continue;
+        }
+        // The panel kernel: this segment's panels stream through cache
+        // once for the whole batch. Excluded items (and the lanes of a
+        // partly covered panel) are scored too and discarded during
+        // selection below — branchless scoring keeps the inner loop tight,
+        // and a discarded score cannot change the selected set (the
+        // ranking order is a strict total order).
+        const int64_t first_panel = (segment - shard_begin) / kPanelItems;
+        ScorePanels(user_rows.data(), static_cast<int64_t>(live.size()),
+                    snapshot.shard_panels(shard), first_panel,
+                    (segment_end - 1 - shard_begin) / kPanelItems -
+                        first_panel + 1,
+                    snapshot.dim(), scores.data(), stride);
+        const int64_t first_lane_item =
+            shard_begin + first_panel * kPanelItems;
+        for (size_t r = 0; r < live.size(); ++r) {
+          const size_t a = live[r];
+          std::vector<ScoredItem>& heap = part[a].heap;
+          const std::unordered_set<int64_t>& excluded = active[a].excluded;
+          const size_t k = static_cast<size_t>(queries[active[a].index].k);
+          const bool has_exclusions = !excluded.empty();
+          const float* row = scores.data() + r * static_cast<size_t>(stride);
+          const float floor = shared[a].floor.load(std::memory_order_relaxed);
           for (int64_t item = segment; item < segment_end; ++item) {
-            if (q.excluded.empty() || q.excluded.count(item) == 0) {
-              ++q.skipped;
+            const float score = row[item - first_lane_item];
+            const bool full = heap.size() == k;
+            // Ids arrive in ascending order, so a candidate that ties the
+            // k-th score loses to it: once the heap is full only a strictly
+            // greater score can enter. A NaN compares false and stays out,
+            // as under Better. Until then, only the shared floor applies.
+            if (full ? !(score > heap.front().score) : score < floor) continue;
+            if (has_exclusions && excluded.count(item) != 0) continue;
+            if (full) {
+              std::pop_heap(heap.begin(), heap.end(), Better);
+              heap.back() = ScoredItem{item, score};
+            } else {
+              heap.push_back(ScoredItem{item, score});
+            }
+            std::push_heap(heap.begin(), heap.end(), Better);
+          }
+          if (heap.size() == k) {
+            // Raise the query's floor to this heap's k-th score.
+            const float kth = heap.front().score;
+            float seen = shared[a].floor.load(std::memory_order_relaxed);
+            while (seen < kth && !shared[a].floor.compare_exchange_weak(
+                                     seen, kth, std::memory_order_relaxed)) {
             }
           }
         }
         segment = segment_end;
-        continue;
       }
-      // The panel kernel: this segment's panels stream through cache once
-      // for the whole batch. Excluded items (and the lanes of a partly
-      // covered panel) are scored too and discarded during selection below
-      // — branchless scoring keeps the inner loop tight, and a discarded
-      // score cannot change the selected set (the ranking order is a strict
-      // total order).
-      const int64_t first_panel = (segment - shard_begin) / kPanelItems;
-      ScorePanels(user_rows.data(), static_cast<int64_t>(live.size()),
-                  snapshot.shard_panels(shard), first_panel,
-                  (segment_end - 1 - shard_begin) / kPanelItems -
-                      first_panel + 1,
-                  snapshot.dim(), scores.data(), stride);
-      const int64_t first_lane_item = shard_begin + first_panel * kPanelItems;
-      for (size_t r = 0; r < live.size(); ++r) {
-        ActiveQuery& q = active[live[r]];
-        const size_t k = static_cast<size_t>(queries[q.index].k);
-        const bool has_exclusions = !q.excluded.empty();
-        const float* row = scores.data() + r * static_cast<size_t>(stride);
-        for (int64_t item = segment; item < segment_end; ++item) {
-          const float score = row[item - first_lane_item];
-          const bool full = q.heap.size() == k;
-          // Ids arrive in ascending order, so a candidate that ties the
-          // k-th score loses to it: once the heap is full only a strictly
-          // greater score can enter. A NaN compares false and stays out, as
-          // under Better.
-          if (full && !(score > q.heap.front().score)) continue;
-          if (has_exclusions && q.excluded.count(item) != 0) continue;
-          if (full) {
-            std::pop_heap(q.heap.begin(), q.heap.end(), Better);
-            q.heap.back() = ScoredItem{item, score};
-          } else {
-            q.heap.push_back(ScoredItem{item, score});
-          }
-          std::push_heap(q.heap.begin(), q.heap.end(), Better);
+    }
+  };
+  if (pool != nullptr) {
+    const Status scanned = pool->ParallelFor(0, num_chunks, scan_chunk, 1);
+    if (!scanned.ok()) return scanned;
+  } else {
+    for (int64_t chunk = 0; chunk < num_chunks; ++chunk) scan_chunk(chunk);
+  }
+
+  // Merge each query's chunk heaps under Better, in chunk order, into the
+  // first chunk's heap. The top-k of the union is the top-k of the
+  // per-chunk top-k sets, so this selects exactly what one serial pass
+  // would; with a single chunk there is nothing to merge.
+  for (size_t a = 0; a < active.size(); ++a) {
+    BatchQueryResult& result = results[active[a].index];
+    if (shared[a].expired.load(std::memory_order_relaxed)) {
+      int64_t expired_at = -1;
+      for (const std::vector<ChunkQuery>& part : partials) {
+        if (part[a].expired_at >= 0 &&
+            (expired_at < 0 || part[a].expired_at < expired_at)) {
+          expired_at = part[a].expired_at;
         }
       }
-      segment = segment_end;
+      const double deadline_ms = queries[active[a].index].deadline_ms;
+      result.status = Status::DeadlineExceeded(
+          "top-k scoring exceeded " + std::to_string(deadline_ms) +
+          " ms after " + std::to_string(expired_at - item_begin) + "/" +
+          std::to_string(num_items - item_begin) + " items");
+      continue;
     }
-  }
-  for (size_t r : live) {
-    ActiveQuery& q = active[r];
+    const size_t k = static_cast<size_t>(queries[active[a].index].k);
+    std::vector<ScoredItem>& heap = partials.front()[a].heap;
+    int64_t skipped = partials.front()[a].skipped;
+    for (size_t c = 1; c < partials.size(); ++c) {
+      skipped += partials[c][a].skipped;
+      for (const ScoredItem& candidate : partials[c][a].heap) {
+        if (heap.size() < k) {
+          heap.push_back(candidate);
+        } else if (Better(candidate, heap.front())) {
+          std::pop_heap(heap.begin(), heap.end(), Better);
+          heap.back() = candidate;
+        } else {
+          continue;
+        }
+        std::push_heap(heap.begin(), heap.end(), Better);
+      }
+    }
     // Ascending under Better = best first.
-    std::sort_heap(q.heap.begin(), q.heap.end(), Better);
-    results[q.index].items = std::move(q.heap);
-    results[q.index].quarantined_skipped = q.skipped;
+    std::sort_heap(heap.begin(), heap.end(), Better);
+    result.items = std::move(heap);
+    result.quarantined_skipped = skipped;
   }
   return Status::OK();
 }

@@ -16,9 +16,12 @@
 /// surfaces as a clean kDeadlineExceeded instead of a hung request. A
 /// batch entry point (TopKBatch) scores many users against each resident
 /// item block before moving on, so the item table streams through cache
-/// once per batch instead of once per user (DESIGN.md §12).
+/// once per batch instead of once per user, and can split a long range
+/// into block-aligned chunks scanned across a thread pool (DESIGN.md §12).
 
 namespace imcat {
+
+class ThreadPool;
 
 /// Scoring configuration. The defaults suit catalogues up to a few million
 /// items.
@@ -33,7 +36,9 @@ struct RecommenderOptions {
   /// hundred.
   int64_t block_items = 1024;
   /// Monotonic clock in milliseconds; overridable for deterministic tests.
-  /// Defaults to std::chrono::steady_clock.
+  /// Defaults to std::chrono::steady_clock. A TopKBatch given a pool reads
+  /// it from the pool's threads as well as the caller's, so it must be
+  /// thread-safe.
   std::function<double()> now_ms;
 };
 
@@ -113,10 +118,21 @@ class Recommender {
   /// every block boundary (an expired query drops out of the batch with
   /// kDeadlineExceeded while the others keep scoring). `max_items`
   /// applies to the shared range, as in the scalar variant.
+  ///
+  /// The (truncated) range is cut into a fixed list of block-aligned
+  /// chunks that depends on the range alone; a range shorter than two
+  /// minimum-size chunks (16384 items) is one chunk. Each chunk keeps its
+  /// own heaps and skip counts, merged per query under the ranking order,
+  /// so the results match one serial pass bit for bit. With a `pool` the
+  /// chunks are spread across its threads through ParallelFor, the caller
+  /// taking part; without one they run in order on the calling thread. A
+  /// query whose deadline passes in any chunk is dropped by the others and
+  /// ends kDeadlineExceeded with no items.
   Status TopKBatch(const EmbeddingSnapshot& snapshot,
                    const std::vector<BatchQuery>& queries, int64_t item_begin,
                    int64_t item_end, int64_t max_items,
-                   std::vector<BatchQueryResult>* results) const;
+                   std::vector<BatchQueryResult>* results,
+                   ThreadPool* pool = nullptr) const;
 
   int64_t block_items() const { return block_items_; }
 
@@ -124,7 +140,8 @@ class Recommender {
   Status TopKBatchImpl(const EmbeddingSnapshot& snapshot,
                        const BatchQuery* queries, int64_t num_queries,
                        int64_t item_begin, int64_t item_end,
-                       int64_t max_items, BatchQueryResult* results) const;
+                       int64_t max_items, BatchQueryResult* results,
+                       ThreadPool* pool) const;
 
   int64_t block_items_;
   std::function<double()> now_ms_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <exception>
 #include <memory>
 #include <utility>
@@ -24,6 +23,10 @@ Status StatusFromCurrentException() {
                   "task threw a non-std::exception object");
   }
 }
+
+/// The pool whose worker loop runs on this thread (null elsewhere), so
+/// ParallelFor can tell that its caller is one of its own workers.
+thread_local const ThreadPool* current_worker_pool = nullptr;
 
 }  // namespace
 
@@ -128,23 +131,8 @@ void ThreadPool::NoteTaskDequeued(const QueuedTask& task,
   queue_depth_gauge_->Set(static_cast<double>(depth_after));
 }
 
-bool ThreadPool::RunOneQueuedTask() {
-  QueuedTask task;
-  int64_t depth_after = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (queue_.empty()) return false;
-    task = std::move(queue_.front());
-    queue_.pop_front();
-    depth_after = static_cast<int64_t>(queue_.size());
-  }
-  NoteTaskDequeued(task, depth_after);
-  space_cv_.notify_one();
-  RunCaptured(task.run);
-  return true;
-}
-
 void ThreadPool::WorkerLoop() {
+  current_worker_pool = this;
   while (true) {
     QueuedTask task;
     int64_t depth_after = 0;
@@ -202,93 +190,68 @@ Status ThreadPool::ParallelFor(int64_t begin, int64_t end,
   }
   const int64_t num_chunks = (n + grain - 1) / grain;
 
-  // Shared iteration state. Helpers pull chunk ids from an atomic counter;
-  // each index is visited exactly once, by exactly one thread. The state
-  // outlives any helper via shared_ptr (a helper cancelled at shutdown
-  // still decrements the outstanding count through its cancel callback).
+  // Shared iteration state. Threads claim chunk ids from an atomic
+  // counter; each index is visited exactly once, by exactly one thread.
+  // The state outlives the call via shared_ptr, because a helper may be
+  // dequeued after the caller has returned: it then claims nothing and
+  // never touches `body`, which is reached only through a claimed chunk.
   struct ForState {
+    const std::function<void(int64_t)>* body = nullptr;
     std::atomic<int64_t> next_chunk{0};
     std::mutex mu;
     std::condition_variable done_cv;
-    int64_t outstanding_helpers = 0;
+    int64_t done_chunks = 0;
     Status error;  // From the lowest-indexed failing chunk.
     int64_t error_chunk = -1;
   };
   auto state = std::make_shared<ForState>();
+  state->body = &body;
 
-  auto drain = [state, begin, end, grain, num_chunks, &body] {
+  auto drain = [state, begin, end, grain, num_chunks] {
     int64_t chunk;
     while ((chunk = state->next_chunk.fetch_add(
                 1, std::memory_order_relaxed)) < num_chunks) {
       const int64_t lo = begin + chunk * grain;
       const int64_t hi = std::min(end, lo + grain);
+      Status st;
       try {
-        for (int64_t i = lo; i < hi; ++i) body(i);
+        for (int64_t i = lo; i < hi; ++i) (*state->body)(i);
       } catch (...) {
-        Status st = StatusFromCurrentException();
-        std::lock_guard<std::mutex> lock(state->mu);
-        // Keep the lowest-indexed error; every chunk still runs, so the
-        // reported failure is deterministic regardless of scheduling.
-        if (state->error_chunk < 0 || chunk < state->error_chunk) {
-          state->error_chunk = chunk;
-          state->error = std::move(st);
-        }
+        st = StatusFromCurrentException();
       }
-    }
-  };
-
-  auto helper_done = [state] {
-    std::lock_guard<std::mutex> lock(state->mu);
-    --state->outstanding_helpers;
-    state->done_cv.notify_all();
-  };
-
-  // Launch at most one helper per worker beyond the calling thread.
-  // TrySubmit keeps this non-blocking: if the queue is full or the pool is
-  // shut down the helper simply never exists and the caller picks up the
-  // chunks itself — slower, never stuck.
-  const int64_t max_helpers = std::min<int64_t>(num_threads_, num_chunks - 1);
-  for (int64_t h = 0; h < max_helpers; ++h) {
-    {
       std::lock_guard<std::mutex> lock(state->mu);
-      ++state->outstanding_helpers;
+      // Keep the lowest-indexed error; every chunk still runs, so the
+      // reported failure is deterministic regardless of scheduling.
+      if (!st.ok() && (state->error_chunk < 0 || chunk < state->error_chunk)) {
+        state->error_chunk = chunk;
+        state->error = std::move(st);
+      }
+      if (++state->done_chunks == num_chunks) state->done_cv.notify_all();
     }
-    // The helper references `body` via `drain`; the wait below keeps the
-    // caller's frame (and `body`) alive until every helper has resolved.
-    Status st = TrySubmit(
-        [drain, helper_done] {
-          drain();
-          helper_done();
-        },
-        helper_done);
-    if (!st.ok()) {
-      helper_done();
-      break;
-    }
+  };
+
+  // At most one helper per thread that can work beyond the caller — one
+  // fewer when the caller is itself one of this pool's workers. TrySubmit
+  // keeps this non-blocking: if the queue is full or the pool is shut
+  // down the helper simply never exists and the caller claims the chunks
+  // itself — slower, never stuck. A cancelled helper needs no cleanup.
+  const int64_t threads =
+      current_worker_pool == this ? num_threads_ - 1 : num_threads_;
+  const int64_t max_helpers = std::min<int64_t>(threads, num_chunks - 1);
+  for (int64_t h = 0; h < max_helpers; ++h) {
+    if (!TrySubmit(drain).ok()) break;
   }
 
   drain();  // The caller is always a worker for its own loop.
 
-  // Wait for the helpers — actively. A helper may be parked in the queue
-  // behind other work (including another loop's helpers when ParallelFor
-  // calls nest from inside pool tasks); if every thread waited passively
-  // here, nobody would be left to run those queued helpers and the loops
-  // would deadlock. So while helpers are outstanding the caller keeps
-  // executing queued tasks, falling back to a short timed wait only when
-  // the queue is momentarily empty.
-  while (true) {
-    {
-      std::unique_lock<std::mutex> lock(state->mu);
-      if (state->outstanding_helpers == 0) return state->error;
-    }
-    if (RunOneQueuedTask()) continue;
-    std::unique_lock<std::mutex> lock(state->mu);
-    if (state->done_cv.wait_for(
-            lock, std::chrono::milliseconds(1),
-            [&state] { return state->outstanding_helpers == 0; })) {
-      return state->error;
-    }
-  }
+  // Every chunk is claimed by now; wait for the ones other threads are
+  // still running. Those threads are inside `body`, never parked in a
+  // queue, so this wait ends without any help from this thread.
+  std::unique_lock<std::mutex> lock(state->mu);
+  state->done_cv.wait(lock, [&state, num_chunks] {
+    return state->done_chunks == num_chunks;
+  });
+  return state->error;
 }
 
 }  // namespace imcat

@@ -50,7 +50,8 @@
 ///    order, never completion order**, so the result — including its
 ///    floating-point summation order — is bit-identical at any thread
 ///    count, including zero (a null/empty pool degrades to the serial
-///    loop). The calling thread participates in the work, so ParallelFor
+///    loop). The calling thread participates in the work and waits only
+///    for chunks that running threads have already claimed, so ParallelFor
 ///    cannot deadlock even when every worker is busy, the queue is full,
 ///    or the pool is already shut down.
 namespace imcat {
@@ -110,8 +111,12 @@ class ThreadPool {
   /// range (deterministic); `grain` <= 0 picks a chunk size automatically.
   /// Exceptions thrown by `body` are captured; the returned Status is OK,
   /// or the error from the lowest-indexed failing chunk (every chunk still
-  /// runs). Safe to call on a shut-down pool or from inside a pool task
-  /// (the caller then degrades toward running the chunks itself).
+  /// runs). Returns once every chunk has finished: it never waits for a
+  /// helper that has not started, and never runs unrelated queued tasks.
+  /// Helpers that start after the chunks are gone return without calling
+  /// `body`. Safe to call on a shut-down pool or from inside a pool task
+  /// (the caller then degrades toward running the chunks itself; from one
+  /// of this pool's workers it asks for at most num_threads() - 1 helpers).
   Status ParallelFor(int64_t begin, int64_t end,
                      const std::function<void(int64_t)>& body,
                      int64_t grain = 0);
@@ -150,10 +155,6 @@ class ThreadPool {
   void RunCaptured(const std::function<void()>& run);
   /// Records queue wait + run count for a task about to execute.
   void NoteTaskDequeued(const QueuedTask& task, int64_t depth_after);
-  /// Pops and runs one queued task on the calling thread; false when the
-  /// queue is empty. Lets ParallelFor waiters make progress instead of
-  /// blocking on helpers that are themselves parked in the queue.
-  bool RunOneQueuedTask();
 
   int64_t num_threads_ = 0;
   int64_t queue_capacity_ = 0;

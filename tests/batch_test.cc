@@ -1,5 +1,5 @@
-// Batched-scoring suite (ctest labels `kernel` + `chaos`; run plain and
-// under TSan by scripts/check.sh --kernel). Pins the three contracts the
+// Batched-scoring suite (ctest labels `kernel`, `chaos` and `race`; run
+// plain and under TSan by scripts/check.sh --kernel). Pins the contracts the
 // batched hot path rests on (DESIGN.md §12):
 //
 //  1. Kernel bit-identity: ScorePanels / ScorePanelsBlocked produce the
@@ -15,7 +15,8 @@
 //     selection fault) — swept over shapes, batch sizes, ranges,
 //     exclusions, brownout budgets and a quarantined shard, plus a
 //     fake-clock mid-batch expiry where one query dies at a block boundary
-//     while the rest keep scoring.
+//     while the rest keep scoring. A range split into chunks across a
+//     pool of any size (or none) matches one serial pass bit for bit.
 //  3. Service coalescing: with max_batch_size > 1 queued compatible
 //     requests drain into one multi-user pass; every future still
 //     resolves definite, shutdown with a queued batch leaks nothing, and
@@ -26,6 +27,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <future>
 #include <memory>
@@ -529,6 +531,206 @@ TEST_F(BatchTest, DeadlineExpiryMidBatchDropsOnlyTheExpiredQuery) {
     for (size_t i = 0; i < expected.size(); ++i) {
       EXPECT_EQ(results[q].items[i].item, expected[i].item);
       EXPECT_EQ(results[q].items[i].score, expected[i].score);
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// 2b. Split scans: TopKBatch's chunks spread over a pool vs one serial pass
+// ---------------------------------------------------------------------------
+
+// Factor values in {-2, -15/8, ..., 2} from a hash of (row, col): rows do
+// not repeat, so the best items sit in every chunk, and every dot product
+// over 8 dims is exact in fp32, so equal scores (ties broken by id across
+// chunk edges) are common below the top.
+Tensor HashedTable(int64_t rows, int64_t cols, uint64_t seed) {
+  std::vector<float> values(static_cast<size_t>(rows * cols));
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int64_t c = 0; c < cols; ++c) {
+      uint64_t h = (static_cast<uint64_t>(r) * 0x9E3779B97F4A7C15ull) ^
+                   (static_cast<uint64_t>(c + 1) * 0xC2B2AE3D27D4EB4Full) ^
+                   seed;
+      h ^= h >> 29;
+      h *= 0xBF58476D1CE4E5B9ull;
+      h ^= h >> 32;
+      values[static_cast<size_t>(r * cols + c)] =
+          static_cast<float>(static_cast<int64_t>(h % 33) - 16) / 8.0f;
+    }
+  }
+  return Tensor(rows, cols, std::move(values));
+}
+
+// Items equal and scores equal byte for byte.
+void ExpectSameItems(const std::vector<ScoredItem>& actual,
+                     const std::vector<ScoredItem>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(actual[i].item, expected[i].item) << "rank " << i;
+    ASSERT_EQ(std::memcmp(&actual[i].score, &expected[i].score, sizeof(float)),
+              0)
+        << "rank " << i;
+  }
+}
+
+TEST_F(BatchTest, SplitScanMatchesSerialBitForBit) {
+  // 70 blocks of 1000 items; a minimum chunk is 17 blocks (16384 items
+  // rounded up), so the full range is 4 chunks with edges at 17000, 35000
+  // and 52000. Shards of 7777 items do not line up with blocks, and the
+  // quarantined shard 4, [31108, 38885), spans the 35000 edge.
+  constexpr int64_t kUsers = 12, kItems = 70000, kDim = 8, kBlock = 1000;
+  const Tensor users = HashedTable(kUsers, kDim, 1);
+  const Tensor items = HashedTable(kItems, kDim, 2);
+  const std::string path = TestTempPath("batch_split.snap");
+  ShardedSnapshotOptions snapshot_options;
+  snapshot_options.items_per_shard = 7777;
+  ASSERT_TRUE(
+      WriteShardedSnapshot(path, users, items, snapshot_options).ok());
+  auto manifest = ReadShardedSnapshotManifest(path);
+  ASSERT_TRUE(manifest.ok());
+  const ShardEntry& entry = manifest.value().item_shards[4];
+  {
+    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(file.is_open());
+    file.seekg(entry.byte_offset + 5);
+    char byte = 0;
+    file.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x10);
+    file.seekp(entry.byte_offset + 5);
+    file.write(&byte, 1);
+    ASSERT_TRUE(file.good());
+  }
+  auto loaded = EmbeddingSnapshot::Load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const EmbeddingSnapshot& snapshot = *loaded.value();
+  ASSERT_EQ(snapshot.quarantined_count(), 1);
+
+  RecommenderOptions split_options;
+  split_options.block_items = kBlock;
+  const Recommender split(split_options);
+  // One block the size of the catalogue: a single chunk, the serial pass.
+  RecommenderOptions serial_options;
+  serial_options.block_items = kItems;
+  const Recommender serial(serial_options);
+  ThreadPool pool1(ThreadPoolOptions{1, 64, nullptr, "pool"});
+  ThreadPool pool2(ThreadPoolOptions{2, 64, nullptr, "pool"});
+  ThreadPool pool4(ThreadPoolOptions{4, 64, nullptr, "pool"});
+  const std::vector<ThreadPool*> pools = {&pool1, &pool2, &pool4};
+
+  // Exclusions straddle each chunk edge (and one sits in the quarantined
+  // shard, where it must not count as a skip); every third user has none.
+  std::vector<std::vector<int64_t>> excludes(kUsers);
+  for (int64_t u = 0; u < kUsers; ++u) {
+    if (u % 3 == 0) continue;
+    for (int64_t edge : {int64_t{17000}, int64_t{35000}, int64_t{52000}}) {
+      for (int64_t d = -u; d <= u; ++d) excludes[u].push_back(edge + d);
+    }
+    excludes[u].push_back((u * 4099) % kItems);
+  }
+  struct Range {
+    int64_t begin, end, max_items;
+  };
+  const std::vector<Range> ranges = {
+      {0, 0, 0},           // Full catalogue: 4 chunks.
+      {0, kItems, 50500},  // Brownout budget ending mid-chunk: 3 chunks.
+      {1500, 69000, 0},    // Unaligned interior range: 4 chunks.
+  };
+  // k = 20000 is more than any chunk's items, so every chunk's heap stays
+  // unfilled; its heaps dominate the run time, so it takes batch 1 and 8.
+  constexpr int64_t kLargeK = 20000;
+  for (const Range& range : ranges) {
+    for (int64_t k : {int64_t{1}, int64_t{10}, kLargeK}) {
+      for (int64_t batch = 1; batch <= 8; ++batch) {
+        if (k == kLargeK && batch != 1 && batch != 8) continue;
+        SCOPED_TRACE("range=[" + std::to_string(range.begin) + "," +
+                     std::to_string(range.end) + ") max_items=" +
+                     std::to_string(range.max_items) + " k=" +
+                     std::to_string(k) + " batch=" + std::to_string(batch));
+        std::vector<Recommender::BatchQuery> queries;
+        for (int64_t q = 0; q < batch; ++q) {
+          Recommender::BatchQuery query;
+          query.user = (q * 5 + 1) % kUsers;
+          query.k = k;
+          query.deadline_ms = -1.0;
+          query.exclude = &excludes[query.user];
+          queries.push_back(query);
+        }
+        std::vector<Recommender::BatchQueryResult> expected;
+        ASSERT_TRUE(serial
+                        .TopKBatch(snapshot, queries, range.begin, range.end,
+                                   range.max_items, &expected)
+                        .ok());
+        std::vector<ThreadPool*> runs = {nullptr};
+        runs.insert(runs.end(), pools.begin(), pools.end());
+        for (ThreadPool* pool : runs) {
+          SCOPED_TRACE("pool threads=" +
+                       std::to_string(pool ? pool->num_threads() : 0));
+          std::vector<Recommender::BatchQueryResult> results;
+          ASSERT_TRUE(split
+                          .TopKBatch(snapshot, queries, range.begin,
+                                     range.end, range.max_items, &results,
+                                     pool)
+                          .ok());
+          ASSERT_EQ(results.size(), expected.size());
+          for (size_t q = 0; q < queries.size(); ++q) {
+            ASSERT_TRUE(results[q].status.ok()) << results[q].status.ToString();
+            EXPECT_EQ(results[q].quarantined_skipped,
+                      expected[q].quarantined_skipped);
+            ExpectSameItems(results[q].items, expected[q].items);
+          }
+        }
+        if (batch != 8 || k != kLargeK) continue;
+        // The serial pass itself against the row-major brute force.
+        for (size_t q = 0; q < queries.size(); ++q) {
+          ExpectSameItems(expected[q].items,
+                          BruteForceTopK(users, items, snapshot, queries[q],
+                                         range.begin, range.end,
+                                         range.max_items));
+        }
+      }
+    }
+  }
+
+  // A budget already spent: a thread-safe fake clock advances 1 ms per
+  // reading, so the tight query passes its deadline at the first
+  // checkpoint of whichever chunk reads the clock first. It ends with no
+  // items; its batch mates match the unlimited serial pass.
+  std::atomic<int64_t> ticks{0};
+  RecommenderOptions clock_options = split_options;
+  clock_options.now_ms = [&ticks] {
+    return static_cast<double>(ticks.fetch_add(1) + 1);
+  };
+  const Recommender clocked(clock_options);
+  std::vector<Recommender::BatchQuery> queries;
+  for (int64_t q = 0; q < 4; ++q) {
+    Recommender::BatchQuery query;
+    query.user = q * 3;
+    query.k = q == 3 ? kLargeK : 10;
+    query.deadline_ms = q == 1 ? 0.5 : -1.0;
+    query.exclude = &excludes[query.user];
+    queries.push_back(query);
+  }
+  std::vector<Recommender::BatchQueryResult> expected;
+  std::vector<Recommender::BatchQuery> unlimited = queries;
+  unlimited[1].deadline_ms = -1.0;
+  ASSERT_TRUE(serial.TopKBatch(snapshot, unlimited, 0, 0, 0, &expected).ok());
+  std::vector<ThreadPool*> runs = {nullptr};
+  runs.insert(runs.end(), pools.begin(), pools.end());
+  for (ThreadPool* pool : runs) {
+    SCOPED_TRACE("deadline, pool threads=" +
+                 std::to_string(pool ? pool->num_threads() : 0));
+    std::vector<Recommender::BatchQueryResult> results;
+    ASSERT_TRUE(
+        clocked.TopKBatch(snapshot, queries, 0, 0, 0, &results, pool).ok());
+    EXPECT_EQ(results[1].status.code(), StatusCode::kDeadlineExceeded)
+        << results[1].status.ToString();
+    EXPECT_TRUE(results[1].items.empty());
+    EXPECT_EQ(results[1].quarantined_skipped, 0);
+    for (size_t q : {size_t{0}, size_t{2}, size_t{3}}) {
+      ASSERT_TRUE(results[q].status.ok()) << results[q].status.ToString();
+      EXPECT_EQ(results[q].quarantined_skipped,
+                expected[q].quarantined_skipped);
+      ExpectSameItems(results[q].items, expected[q].items);
     }
   }
   std::remove(path.c_str());

@@ -12,6 +12,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -515,6 +516,173 @@ TEST_F(RaceTest, UpdaterPublishingDeltasWhileServingStaysConsistent) {
       snapshot.CounterValue("serve_requests_error_total") +
       snapshot.CounterValue("serve_requests_cancelled_total");
   EXPECT_EQ(snapshot.CounterValue("serve_requests_total"), accounted);
+  std::remove(base_path.c_str());
+}
+
+// Split scans under request pressure: with 50,000 items one request's
+// scan is 3 chunks spread over the service's 2 workers, while clients keep
+// up to 8 requests each in flight (batches of up to 8) and LoadDelta swaps
+// snapshots under them. A worker's helper may wait behind other requests'
+// drains or run after its chunks are gone. Every OK response must equal a
+// brute-force top-k of the snapshot version it reports, and the request
+// accounting identity must hold exactly.
+TEST_F(RaceTest, SplitScansUnderSubmitPressureMatchBruteForceAcrossDeltas) {
+  constexpr int64_t kSplitItems = 50000;
+  // Hashed rows (no period), so the best items sit in every chunk.
+  auto hashed_table = [](int64_t rows, uint64_t seed) {
+    std::vector<float> values(static_cast<size_t>(rows * kDim));
+    for (size_t v = 0; v < values.size(); ++v) {
+      uint64_t h = (v + 1) * 0x9E3779B97F4A7C15ull ^ seed;
+      h ^= h >> 29;
+      h *= 0xBF58476D1CE4E5B9ull;
+      h ^= h >> 32;
+      values[v] = static_cast<float>(static_cast<int64_t>(h % 33) - 16) / 16.0f;
+    }
+    return Tensor(rows, kDim, std::move(values));
+  };
+  const std::string base_path = TestTempPath("race_split_base.snap");
+  {
+    ShardedSnapshotOptions snapshot_options;
+    snapshot_options.version = 1;
+    ASSERT_TRUE(WriteShardedSnapshot(base_path, hashed_table(kNumUsers, 1),
+                                     hashed_table(kSplitItems, 2),
+                                     snapshot_options)
+                    .ok());
+  }
+  EdgeList seen;
+  for (int64_t u = 0; u < kNumUsers; ++u) seen.push_back({u, u * 1999});
+  MetricsRegistry metrics;
+  RecServiceOptions options = RaceOptions(8);
+  options.num_workers = 2;
+  options.queue_capacity = 64;
+  options.metrics = &metrics;
+  RecService service(std::make_shared<PopularityRanker>(kSplitItems, seen),
+                     options);
+  ASSERT_TRUE(service.LoadSnapshot(base_path).ok());
+  auto seeded = OnlineUpdater::FromSnapshot(base_path, seen, {});
+  ASSERT_TRUE(seeded.ok()) << seeded.status().ToString();
+  std::unique_ptr<OnlineUpdater> updater = std::move(seeded.value());
+
+  // Every version the clients can see, kept alive for the check below.
+  std::vector<std::shared_ptr<const EmbeddingSnapshot>> versions = {
+      service.snapshot()};
+  struct Served {
+    int64_t user;
+    int64_t version;
+    std::vector<ScoredItem> items;
+  };
+  constexpr int kClients = 3;
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> indefinite{0};
+  std::vector<std::vector<Served>> served(kClients);
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kClients; ++t) {
+    clients.emplace_back([&service, &stop, &indefinite, &served, t] {
+      int64_t user = t;
+      for (int burst = 0; burst < 4 || !stop.load(); ++burst) {
+        std::vector<std::pair<int64_t, std::future<RecResponse>>> inflight;
+        for (int r = 0; r < 8; ++r) {
+          RecRequest request;
+          request.user = user++ % kNumUsers;
+          const int64_t u = request.user;
+          inflight.emplace_back(u, service.Submit(std::move(request)));
+        }
+        for (auto& [u, future] : inflight) {
+          RecResponse response = future.get();
+          if (!IsDefinite(response)) ++indefinite;
+          if (response.status.ok() && !response.degraded &&
+              !response.partial_degraded) {
+            served[static_cast<size_t>(t)].push_back(
+                {u, response.snapshot_version, std::move(response.items)});
+          }
+        }
+      }
+    });
+  }
+
+  constexpr int kRounds = 4;
+  for (int round = 0; round < kRounds; ++round) {
+    EdgeList batch;
+    for (int64_t e = 0; e < 4; ++e) {
+      batch.push_back({(round * 4 + e) % kNumUsers,
+                       (round * 12007 + e * 4099) % kSplitItems});
+    }
+    ASSERT_TRUE(updater->AddInteractions(batch).ok());
+    ASSERT_TRUE(updater->ApplyPending().ok());
+    const std::string delta_path = TestTempPath(
+        ("race_split_" + std::to_string(round) + ".delta").c_str());
+    ASSERT_TRUE(updater->PublishDelta(delta_path).ok());
+    Status load = service.LoadDelta(delta_path);
+    ASSERT_TRUE(load.ok()) << "round " << round << ": " << load.ToString();
+    versions.push_back(service.snapshot());
+    std::remove(delta_path.c_str());
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  stop = true;
+  for (std::thread& c : clients) c.join();
+  service.Shutdown();
+  EXPECT_EQ(indefinite.load(), 0);
+
+  // Brute force per (version, user), cached: every in-range item scored
+  // with the snapshot's own scalar dot, sorted by (score desc, id asc).
+  std::vector<std::vector<std::vector<ScoredItem>>> oracle(
+      versions.size(), std::vector<std::vector<ScoredItem>>(kNumUsers));
+  int64_t checked = 0, mismatched = 0;
+  for (const std::vector<Served>& client : served) {
+    for (const Served& s : client) {
+      const int64_t slot = s.version - versions.front()->version();
+      ASSERT_GE(slot, 0);
+      ASSERT_LT(slot, static_cast<int64_t>(versions.size()));
+      const EmbeddingSnapshot& snapshot = *versions[static_cast<size_t>(slot)];
+      ASSERT_EQ(snapshot.version(), s.version);
+      std::vector<ScoredItem>& expected =
+          oracle[static_cast<size_t>(slot)][static_cast<size_t>(s.user)];
+      if (expected.empty()) {
+        std::vector<ScoredItem> all;
+        for (int64_t i = 0; i < snapshot.num_items(); ++i) {
+          all.push_back({i, snapshot.Score(s.user, i)});
+        }
+        std::partial_sort(all.begin(), all.begin() + options.default_top_k,
+                          all.end(),
+                          [](const ScoredItem& a, const ScoredItem& b) {
+                            return a.score != b.score ? a.score > b.score
+                                                      : a.item < b.item;
+                          });
+        all.resize(static_cast<size_t>(options.default_top_k));
+        expected = std::move(all);
+      }
+      ++checked;
+      bool same = s.items.size() == expected.size();
+      for (size_t r = 0; same && r < expected.size(); ++r) {
+        same = s.items[r].item == expected[r].item &&
+               std::memcmp(&s.items[r].score, &expected[r].score,
+                           sizeof(float)) == 0;
+      }
+      if (!same) ++mismatched;
+    }
+  }
+  EXPECT_GT(checked, 0);
+  EXPECT_EQ(mismatched, 0) << "of " << checked << " OK responses";
+
+  MetricsSnapshot snapshot = metrics.Snapshot();
+  const int64_t accounted =
+      snapshot.CounterValue("serve_requests_ok_total") +
+      snapshot.CounterValue("serve_requests_degraded_total") +
+      snapshot.CounterValue("serve_requests_partial_degraded_total") +
+      snapshot.CounterValue("serve_requests_shed_total") +
+      snapshot.CounterValue("serve_requests_shed_queue_delay_total") +
+      snapshot.CounterValue("serve_requests_shed_predicted_late_total") +
+      snapshot.CounterValue("serve_requests_deadline_exceeded_total") +
+      snapshot.CounterValue("serve_requests_invalid_total") +
+      snapshot.CounterValue("serve_requests_error_total") +
+      snapshot.CounterValue("serve_requests_cancelled_total");
+  EXPECT_EQ(snapshot.CounterValue("serve_requests_total"), accounted);
+  // One pool ticket per admitted request, plus the scan helpers: the
+  // split path really ran.
+  EXPECT_GT(snapshot.CounterValue("serve_pool_tasks_run_total") +
+                snapshot.CounterValue("serve_pool_tasks_cancelled_total"),
+            snapshot.CounterValue("serve_requests_accepted_total"));
+  EXPECT_EQ(service.snapshot()->version(), 1 + kRounds);
   std::remove(base_path.c_str());
 }
 

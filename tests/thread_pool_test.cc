@@ -231,6 +231,41 @@ TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
   EXPECT_EQ(total.load(), 8 * 64);
 }
 
+TEST(ThreadPoolTest, ParallelForDoesNotRunUnrelatedQueuedTasks) {
+  // The only worker is blocked and an unrelated task waits behind it. The
+  // caller must finish its own chunks and return, leaving that task (and
+  // its own late helper, which finds no chunk left) in the queue.
+  ThreadPool pool(Opts(1, 8));
+  std::promise<void> release;
+  std::shared_future<void> gate(release.get_future());
+  std::promise<void> entered;
+  ASSERT_TRUE(pool.TrySubmit([gate, &entered] {
+                    entered.set_value();
+                    gate.wait();
+                  })
+                  .ok());
+  entered.get_future().wait();
+  std::atomic<bool> unrelated_ran{false};
+  ASSERT_TRUE(pool.TrySubmit([&unrelated_ran] { unrelated_ran = true; }).ok());
+
+  std::atomic<int64_t> total{0};
+  std::thread::id body_thread;
+  Status st = pool.ParallelFor(
+      0, 16, [&total, &body_thread](int64_t) {
+        total.fetch_add(1);
+        body_thread = std::this_thread::get_id();
+      },
+      /*grain=*/1);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(total.load(), 16);
+  EXPECT_EQ(body_thread, std::this_thread::get_id());
+  EXPECT_FALSE(unrelated_ran.load());
+  EXPECT_GE(pool.queue_depth(), 1);
+
+  release.set_value();
+  pool.Shutdown();
+}
+
 TEST(ThreadPoolTest, SubmitBlocksUntilSpaceThenSucceeds) {
   ThreadPool pool(Opts(1, 1));
   std::promise<void> release;
